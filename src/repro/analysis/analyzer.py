@@ -4,24 +4,24 @@ The one place the routing rules of every engine live:
 
 * **memory** (:class:`repro.cqa.engine.CqaEngine`): always streams;
   route ``"naive"`` or ``"indexed"``.
-* **sqlite** (:class:`repro.backend.engine.SqlCqaEngine`): blocked by
-  declared priority edges (``RA302`` — the rewriting is
-  preference-blind) and by every shape/theory blocker of the
+* **prefsql** (:class:`repro.prefsql.engine.PrefSqlCqaEngine`, the one
+  pushed engine): blocked by duplicate physical rows in a mentioned
+  prioritized relation (``RA303``) and the classification blockers;
+  otherwise routes ``"prefsql"`` when the query mentions a profiled
+  relation with priority edges, else plain ``"sqlite"``.
+* **sqlite** (:class:`repro.backend.engine.SqlCqaEngine`, the pushed
+  engine with priorities left unpushed): blocked by declared priority
+  edges (``RA302``) and by every shape/theory blocker of the
   classification; otherwise route ``"sqlite"``.
-* **prefsql** (:class:`repro.prefsql.engine.PrefSqlCqaEngine`): blocked
-  by duplicate physical rows in a mentioned prioritized relation
-  (``RA303``) and the classification blockers; otherwise routes
-  ``"prefsql"`` when the query mentions a profiled relation with
-  priority edges, else plain ``"sqlite"``.
 
 Everything except the duplicate-row set is data-independent; callers
 that know their instance pass ``duplicate_row_relations`` (the engines
 compute it once per theory change, the broker's report cache keys on
 it), so a cached report stays exact.
 
-Blocking order per engine reproduces each engine's historical check
-order: the theory gate (RA302 / RA303) fires *before* shape analysis,
-exactly as ``SqlCqaEngine._decide`` and ``PrefSqlCqaEngine._analyze``
+Blocking order per engine reproduces each engine's check order: the
+theory gate (RA302 / RA303) fires *before* shape analysis, exactly as
+``SqlCqaEngine._analyze`` and ``PrefSqlCqaEngine._analyze``
 short-circuit, so :meth:`RouteReport.expected_last_route` matches the
 engine's ``last_route`` string bit-for-bit.
 """

@@ -2,10 +2,13 @@
 
 The layer below (:mod:`repro.cqa`) answers by streaming repairs; this
 layer compiles the safe conjunctive fragment to a single self-join SQL
-rewriting (:mod:`repro.backend.rewrite`) and executes it directly on the
-SQLite store the relational layer persists to, via
-:class:`SqlCqaEngine` (:mod:`repro.backend.engine`).  Non-rewritable
-queries transparently fall back to the in-memory engine.
+rewriting (:mod:`repro.backend.rewrite`) that runs directly on the
+SQLite store the relational layer persists to.  One engine executes it,
+the preference-aware :class:`~repro.prefsql.engine.PrefSqlCqaEngine`;
+:class:`SqlCqaEngine` (:mod:`repro.backend.engine`) is that engine with
+declared priorities left unpushed, and :class:`SqliteMirror` keeps one
+of it over a mutating instance.  Non-rewritable queries transparently
+fall back to the in-memory engine.
 """
 
 from repro.backend.engine import SqlCqaEngine

@@ -1,19 +1,13 @@
-"""The SQLite-pushed certain-answer engine.
+"""The preference-blind SQLite-pushed certain-answer engine.
 
-:class:`SqlCqaEngine` mirrors :class:`~repro.cqa.engine.CqaEngine`'s
-``answer()`` / ``certain_answers()`` / ``sql_certain_answers()`` surface
-but evaluates rewritable queries *inside* SQLite (see
-:mod:`repro.backend.rewrite`): no conflict-graph construction, no repair
-streaming, one SQL statement per answer set.  That opens the workload
-the in-memory engines cannot reach — file-backed instances with orders
-of magnitude more rows than fit a per-repair evaluation loop.
-
-Queries outside the rewritable fragment (and every query when priority
-edges are declared — this engine's rewriting is preference-blind; the
-:class:`~repro.prefsql.engine.PrefSqlCqaEngine` layer handles declared
-priorities) are routed to a lazily constructed
-in-memory :class:`CqaEngine` over the loaded database; the routing
-outcome of the last call is recorded in :attr:`last_route` and
+:class:`SqlCqaEngine` is :class:`~repro.prefsql.engine.PrefSqlCqaEngine`
+with declared priorities left unpushed: rewritable queries run *inside*
+SQLite (see :mod:`repro.backend.rewrite`) — no conflict-graph
+construction, no repair streaming, one SQL statement per answer set —
+and everything else, including every query once priority edges are
+declared (``RA302``), is answered by a lazily constructed in-memory
+:class:`~repro.cqa.engine.CqaEngine` over the loaded database.  The
+routing outcome of the last call is recorded in :attr:`last_route` and
 :meth:`explain` exposes the decision without running anything.
 
 Because the rewriting quantifies over *all* repairs, its answers are
@@ -30,33 +24,22 @@ materialized.
 from __future__ import annotations
 
 import sqlite3
-import time
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Union
 
 from repro.analysis.model import make_diagnostic
-from repro.backend.rewrite import RewriteDecision, analyze_query
+from repro.backend.rewrite import RewriteDecision
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
-from repro.cqa.answers import ClosedAnswer, OpenAnswers, Verdict
-from repro.cqa.engine import CqaEngine
-from repro.exceptions import QueryError
-from repro.obs import annotate, observe_query
-from repro.obs import span as obs_span
+from repro.prefsql.engine import PrefSqlCqaEngine
 from repro.query.ast import Formula
-from repro.query.parser import parse_query
-from repro.query.sql import sql_to_formula
-from repro.query.validate import check_against_schema
-from repro.relational.sqlite_io import load_database, load_schema
 
-# The catalogued diagnostic renders the historical reason string
-# verbatim (metric labels and tests pin it); keeping the module-level
-# name preserves the old import surface.
+# The catalogued diagnostic renders the reason string verbatim (metric
+# labels and tests pin it).
 _PRIORITY_DIAGNOSTIC = make_diagnostic("RA302")
-_PRIORITY_REASON = _PRIORITY_DIAGNOSTIC.message
 
 
-class SqlCqaEngine:
+class SqlCqaEngine(PrefSqlCqaEngine):
     """Certain-answer engine over a SQLite-persisted database.
 
     ``source`` is a database file path or an open connection;
@@ -66,6 +49,9 @@ class SqlCqaEngine:
     the in-memory fallback path.
     """
 
+    _ENGINE_LABEL = "sql"
+    _EXECUTE_SPAN = "sql-execute"
+
     def __init__(
         self,
         source: Union[str, Path, sqlite3.Connection],
@@ -74,177 +60,23 @@ class SqlCqaEngine:
         family: Family = Family.REP,
         relation_names: Optional[Iterable[str]] = None,
     ) -> None:
-        self._own = not isinstance(source, sqlite3.Connection)
-        self._connection = sqlite3.connect(source) if self._own else source
-        self.dependencies = tuple(dependencies)
-        self.family = family
+        super().__init__(source, dependencies, (), family, relation_names)
+        # Kept for the fallback engine only; nothing is materialized.
         self.priority_edges = tuple(priority or ())
-        self._relation_names = tuple(relation_names) if relation_names else None
-        self.schema = load_schema(self._connection, self._relation_names)
-        self._fallback_engine: Optional[CqaEngine] = None
-        # Formulas are hashable, so explain() followed by answer()/
-        # certain_answers() (the session routing pattern) and repeated
-        # queries compile once.
-        self._decision_cache: Dict[
-            Tuple[Formula, Optional[Tuple[str, ...]]], RewriteDecision
-        ] = {}
-        #: Routing of the most recent call: ``"sqlite"`` or
-        #: ``"fallback: <reason>"``.
-        self.last_route: Optional[str] = None
 
-    # Lifecycle ---------------------------------------------------------------
-
-    def close(self) -> None:
-        """Close the connection (no-op when one was passed in)."""
-        if self._own:
-            self._connection.close()
-
-    def __enter__(self) -> "SqlCqaEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # Routing -----------------------------------------------------------------
-
-    def _to_formula(self, query: Union[str, Formula]) -> Formula:
-        with obs_span("parse"):
-            formula = parse_query(query) if isinstance(query, str) else query
-            return check_against_schema(formula, self.schema)
-
-    def explain(
+    def _analyze(
         self,
-        query: Union[str, Formula],
-        variables: Optional[Sequence[str]] = None,
-        family: Optional[Family] = None,
-    ) -> RewriteDecision:
-        """The routing decision for ``query``, without executing it.
-
-        ``family`` is accepted for interface parity with the
-        preference-aware engine; this engine's decisions are
-        family-independent (no priority, all families coincide).
-        """
-        formula = self._to_formula(query)
-        return self._decide(formula, variables)
-
-    def _decide(
-        self, formula: Formula, variables: Optional[Sequence[str]]
+        formula: Formula,
+        variables: Optional[Sequence[str]],
+        family: Family,
     ) -> RewriteDecision:
         if self.priority_edges:
             return RewriteDecision(
-                None, _PRIORITY_REASON, diagnostics=(_PRIORITY_DIAGNOSTIC,)
+                None,
+                _PRIORITY_DIAGNOSTIC.message,
+                diagnostics=(_PRIORITY_DIAGNOSTIC,),
             )
-        key = (formula, tuple(variables) if variables is not None else None)
-        decision = self._decision_cache.get(key)
-        if decision is None:
-            decision = analyze_query(
-                formula, self.schema, self.dependencies, variables
-            )
-            self._decision_cache[key] = decision
-        return decision
-
-    def _fallback(self) -> CqaEngine:
-        if self._fallback_engine is None:
-            database = load_database(self._connection, self._relation_names)
-            self._fallback_engine = CqaEngine(
-                database, self.dependencies, self.priority_edges, self.family
-            )
-        return self._fallback_engine
-
-    # Closed queries ----------------------------------------------------------
-
-    def answer(
-        self, query: Union[str, Formula], family: Optional[Family] = None
-    ) -> ClosedAnswer:
-        """Three-valued verdict of a closed query (Definition 3)."""
-        started = time.perf_counter()
-        family = family or self.family
-        formula = self._to_formula(query)
-        if not formula.is_closed:
-            raise QueryError("answer() requires a closed formula")
-        with obs_span("route-decision"):
-            decision = self._decide(formula, ())
-        if decision.plan is None:
-            self.last_route = decision.fallback_route
-            annotate(route="fallback", reason=decision.reason)
-            answer = self._fallback().answer(formula, family)
-            observe_query(
-                "sql", self.last_route, str(family),
-                time.perf_counter() - started,
-            )
-            return answer
-        self.last_route = "sqlite"
-        annotate(route="sqlite")
-        with obs_span("sql-execute"):
-            result = decision.plan.run(self._connection)
-        if result.certain:
-            verdict = Verdict.TRUE  # true in every repair
-        elif result.possible:
-            verdict = Verdict.UNDETERMINED  # true in some, false in some
-        else:
-            verdict = Verdict.FALSE  # true in no repair
-        observe_query(
-            "sql", "sqlite", str(family), time.perf_counter() - started
-        )
-        return ClosedAnswer(family, verdict, 0, 0, None, route="sqlite")
-
-    def is_consistently_true(
-        self, query: Union[str, Formula], family: Optional[Family] = None
-    ) -> bool:
-        """Whether the closed query holds in every (preferred) repair."""
-        return self.answer(query, family).verdict is Verdict.TRUE
-
-    # Open queries ------------------------------------------------------------
-
-    def certain_answers(
-        self,
-        query: Union[str, Formula],
-        variables: Optional[Tuple[str, ...]] = None,
-        family: Optional[Family] = None,
-    ) -> OpenAnswers:
-        """Certain/possible answer sets of an open query."""
-        started = time.perf_counter()
-        family = family or self.family
-        formula = self._to_formula(query)
-        if variables is None:
-            variables = tuple(sorted(formula.free_variables()))
-        with obs_span("route-decision"):
-            decision = self._decide(formula, variables)
-        if decision.plan is None:
-            self.last_route = decision.fallback_route
-            annotate(route="fallback", reason=decision.reason)
-            answers = self._fallback().certain_answers(
-                formula, variables, family
-            )
-            observe_query(
-                "sql", self.last_route, str(family),
-                time.perf_counter() - started,
-            )
-            return answers
-        self.last_route = "sqlite"
-        annotate(route="sqlite")
-        with obs_span("sql-execute"):
-            result = decision.plan.run(self._connection)
-        observe_query(
-            "sql", "sqlite", str(family), time.perf_counter() - started
-        )
-        return OpenAnswers(
-            family,
-            tuple(variables),
-            result.certain,
-            result.possible,
-            0,
-            route="sqlite",
-        )
-
-    def sql_certain_answers(
-        self, sql: str, family: Optional[Family] = None
-    ) -> OpenAnswers:
-        """Certain answers for a conjunctive SQL query."""
-        formula, variables = sql_to_formula(sql, self.schema)
-        return self.certain_answers(formula, variables, family)
-
-    # Diagnostics -------------------------------------------------------------
+        return super()._analyze(formula, variables, family)
 
     def summary(self) -> Dict[str, object]:
         """Snapshot of the engine's configuration and last routing."""

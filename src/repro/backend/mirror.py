@@ -9,37 +9,25 @@ update, so rewritable queries run pushed down while updates stay
 incremental.  Refreshes are O(instance), queries are index-backed; a
 burst of updates between two queries costs one refresh.
 
-The mirror also hosts the preference-aware pushdown
-(:mod:`repro.prefsql`): :meth:`pref_engine_for` hands out a
-:class:`~repro.prefsql.engine.PrefSqlCqaEngine` whose conflict/edge
-side tables live on the mirror connection.  Because a re-save
-reassigns rowids, every refresh invalidates the preference engine and
-runs the registered *refresh hooks* — the incremental-maintenance
-seam the side tables hang off.
+The mirror holds one pushed engine, a
+:class:`~repro.prefsql.engine.PrefSqlCqaEngine` built for the priority
+edges of the last request (none for :meth:`engine_for`), whose
+conflict/edge side tables live on the mirror connection.  A growing
+priority extends the engine in place; a shrinking one rebuilds it.
+Because a re-save reassigns rowids, every refresh drops the engine.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import (
-    Callable,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import Callable, FrozenSet, Iterable, Optional, Sequence, Union
 
-from repro.backend.engine import SqlCqaEngine
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
+from repro.prefsql.engine import PrefSqlCqaEngine
 from repro.priorities.priority import PriorityEdge
 from repro.relational.database import Database
 from repro.relational.sqlite_io import save_database
-
-#: A refresh hook: called with the mirror connection after each re-save.
-RefreshHook = Callable[[sqlite3.Connection], None]
 
 
 class SqliteMirror:
@@ -59,22 +47,8 @@ class SqliteMirror:
         self.dependencies = tuple(dependencies)
         self.family = family
         self._dirty = True
-        self._engine: Optional[SqlCqaEngine] = None
-        self._pref_engine = None
-        self._pref_edges: Optional[FrozenSet[PriorityEdge]] = None
-        self._refresh_hooks: List[RefreshHook] = []
-        # The preference side tables reference rowids, which a re-save
-        # reassigns; their maintenance hangs off the hook mechanism so
-        # additional maintainers (diagnostics, caches) can join it.
-        self.add_refresh_hook(self._invalidate_pref_engine)
-
-    def add_refresh_hook(self, hook: RefreshHook) -> None:
-        """Run ``hook(connection)`` after every re-save of the mirror.
-
-        The preference layer uses this to re-materialize its side
-        tables once the rowids they reference have been reassigned.
-        """
-        self._refresh_hooks.append(hook)
+        self._engine: Optional[PrefSqlCqaEngine] = None
+        self._edges: FrozenSet[PriorityEdge] = frozenset()
 
     def mark_dirty(self) -> None:
         """Record that the source instance changed since the last refresh."""
@@ -83,13 +57,7 @@ class SqliteMirror:
     @property
     def dirty(self) -> bool:
         """Whether the next :meth:`engine_for` will re-save the source."""
-        return self._dirty or self._engine is None
-
-    def _invalidate_pref_engine(
-        self, connection: sqlite3.Connection
-    ) -> None:
-        self._pref_engine = None
-        self._pref_edges = None
+        return self._dirty
 
     def _refresh(
         self, database: Union[Database, Callable[[], Database]]
@@ -97,67 +65,58 @@ class SqliteMirror:
         if callable(database):
             database = database()
         save_database(database, self._connection, self.dependencies)
-        self._engine = SqlCqaEngine(
-            self._connection, self.dependencies, family=self.family
-        )
-        for hook in self._refresh_hooks:
-            hook(self._connection)
+        # The engine's side tables reference rowids, which a re-save
+        # reassigns.
+        self._engine = None
         self._dirty = False
 
     def engine_for(
         self, database: Union[Database, Callable[[], Database]]
-    ) -> SqlCqaEngine:
-        """A :class:`SqlCqaEngine` over an up-to-date mirror of ``database``.
+    ) -> PrefSqlCqaEngine:
+        """The pushed engine over an up-to-date mirror of ``database``,
+        with no priority declared.
 
         ``database`` may be a zero-argument callable, invoked only when
         a refresh is actually due — callers whose source snapshot is
         itself O(instance) to assemble (the broker's
         ``current_database()``) skip that cost on clean mirrors.
         """
-        if self.dirty:
-            self._refresh(database)
-        return self._engine
+        return self.pref_engine_for(database, ())
 
     def pref_engine_for(
         self,
         database: Union[Database, Callable[[], Database]],
         priority_edges: Iterable[PriorityEdge],
         family: Optional[Family] = None,
-    ):
-        """A :class:`~repro.prefsql.engine.PrefSqlCqaEngine` over an
-        up-to-date mirror, rebuilt when the data or the declared
-        priority changed since the last call."""
-        from repro.prefsql.engine import PrefSqlCqaEngine  # cycle guard
-
+    ) -> PrefSqlCqaEngine:
+        """The pushed engine over an up-to-date mirror, rebuilt when the
+        data changed or the declared priority shrank since the last
+        call (see :meth:`engine_for` for ``database``)."""
         edges = frozenset(priority_edges)
         effective_family = family or self.family
-        if self.dirty:
+        if self._dirty:
             self._refresh(database)
-        if (
-            self._pref_engine is not None
-            and self._pref_edges is not None
-            and edges >= self._pref_edges
-        ):
+        if self._engine is not None and edges >= self._edges:
             # Priority grew but the data did not change: maintain the
             # side tables incrementally instead of rebuilding.
-            extra = edges - self._pref_edges
+            extra = edges - self._edges
             if extra:
-                self._pref_engine.extend_priority(sorted(extra))
-                self._pref_edges = edges
-            if self._pref_engine.family is not effective_family:
+                self._engine.extend_priority(sorted(extra))
+                self._edges = edges
+            if self._engine.family is not effective_family:
                 # The default family is per-call state on the engine
                 # (answers are keyed per family internally); omitting
                 # ``family`` always means the mirror's own default.
-                self._pref_engine.family = effective_family
+                self._engine.family = effective_family
         else:
-            self._pref_engine = PrefSqlCqaEngine(
+            self._engine = PrefSqlCqaEngine(
                 self._connection,
                 self.dependencies,
                 sorted(edges),
                 effective_family,
             )
-            self._pref_edges = edges
-        return self._pref_engine
+            self._edges = edges
+        return self._engine
 
     def close(self) -> None:
         self._connection.close()

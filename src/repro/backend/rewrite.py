@@ -86,8 +86,8 @@ this module keeps the SQL emission and attaches the classifier's
 :class:`RewriteDecision`.  Queries outside the fragment are reported
 with the first blocking diagnostic's message as the fallback reason
 (bit-identical to the historical fail-fast strings);
-:class:`~repro.backend.engine.SqlCqaEngine` routes those to the
-in-memory engine.
+the pushed engine (:class:`~repro.prefsql.engine.PrefSqlCqaEngine`)
+routes those to the in-memory engine.
 """
 
 from __future__ import annotations

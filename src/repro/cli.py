@@ -41,6 +41,7 @@ from repro.relational.csv_io import read_instance_csv
 from repro.relational.instance import RelationInstance
 from repro.relational.rows import sorted_rows
 from repro.relational.sqlite_io import load_database, load_instance
+from repro.service.server import sorted_answers
 
 _FAMILY_CODES = {
     "Rep": Family.REP,
@@ -216,25 +217,8 @@ def _cmd_cqa(args: argparse.Namespace) -> int:
     return 0 if answer.verdict.value != "undetermined" else 2
 
 
-def _sorted_answers(tuples):
-    """Deterministic listing order for answer tuples.
-
-    Answer columns can mix names and naturals (e.g. active-domain
-    variables), so plain ``sorted`` would raise on ``int < str``;
-    this mirrors the mixed-domain ordering rows use.
-    """
-
-    def key(answer):
-        return tuple(
-            (0, f"{value:020d}") if isinstance(value, int) else (1, str(value))
-            for value in answer
-        )
-
-    return sorted(tuples, key=key)
-
-
 def _format_answer_tuples(tuples) -> str:
-    return ", ".join(str(tuple(answer)) for answer in _sorted_answers(tuples)) or "(none)"
+    return ", ".join(str(tuple(answer)) for answer in sorted_answers(tuples)) or "(none)"
 
 
 def _open_answers_verdict(result) -> str:
@@ -516,8 +500,8 @@ def _execute_query(args: argparse.Namespace, engine, route, family):
             "backend": route(),
             "family": str(family),
             "variables": list(result.variables),
-            "certain": list(map(list, _sorted_answers(result.certain))),
-            "possible": list(map(list, _sorted_answers(result.possible))),
+            "certain": list(map(list, sorted_answers(result.certain))),
+            "possible": list(map(list, sorted_answers(result.possible))),
         }
     print(f"backend: {route()}")
     if not result.variables:
@@ -687,10 +671,10 @@ def _cmd_session(args: argparse.Namespace) -> int:
                             "backend": backend_used,
                             "variables": list(result.variables),
                             "certain": list(
-                                map(list, _sorted_answers(result.certain))
+                                map(list, sorted_answers(result.certain))
                             ),
                             "possible": list(
-                                map(list, _sorted_answers(result.possible))
+                                map(list, sorted_answers(result.possible))
                             ),
                             "repairs_considered": result.repairs_considered,
                         }

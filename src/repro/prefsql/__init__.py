@@ -1,9 +1,10 @@
 """Preference-aware SQL pushdown: winnow-in-SQLite over oriented edges.
 
-The backend layer (:mod:`repro.backend`) pushes *classical* certain
-answers into SQLite but is preference-blind — any declared priority
-used to force in-memory repair streaming.  This layer closes that gap
-for the paper's actual subject, prioritized repair families:
+The backend layer (:mod:`repro.backend`) compiles *classical* certain
+answers to SQL; on its own that rewriting is preference-blind.  This
+layer extends it to the paper's actual subject, prioritized repair
+families, and hosts the one pushed engine (with no priority it is the
+classic pushdown):
 
 * :mod:`repro.prefsql.edges` materializes the conflict graph and the
   oriented dominance edges of a priority into side tables
@@ -18,6 +19,8 @@ for the paper's actual subject, prioritized repair families:
   rewriting so safe conjunctive queries over prioritized databases are
   answered bit-identically to :class:`~repro.cqa.engine.CqaEngine`
   without materializing a single repair.
+  :class:`~repro.backend.engine.SqlCqaEngine` is this engine with
+  declared priorities routed to the fallback (``RA302``).
 """
 
 from repro.prefsql.edges import (

@@ -5,8 +5,9 @@ mirrored data alone does not carry: which row pairs *conflict* (violate
 a functional dependency together) and which conflicts the declared
 priority *orients*.  Both are materialized as per-connection ``TEMP``
 tables so a read-only source file is never mutated and a re-save of the
-mirror (which reassigns rowids) simply triggers re-materialization via
-the :class:`~repro.backend.mirror.SqliteMirror` refresh hooks:
+mirror (which reassigns rowids) simply triggers re-materialization: the
+:class:`~repro.backend.mirror.SqliteMirror` drops its engine and the
+next one rebuilds them.
 
 ``_repro_conflicts(relation, a, b)``
     One row per undirected conflict edge, as a ``rowid`` pair with

@@ -1,17 +1,22 @@
-"""The preference-aware SQLite-pushed certain-answer engine.
+"""The SQLite-pushed certain-answer engine, preference-aware.
 
-:class:`PrefSqlCqaEngine` answers queries over a *prioritized*
-SQLite-persisted database with the same surface as
-:class:`~repro.backend.engine.SqlCqaEngine` — ``answer()``,
-``certain_answers()``, ``sql_certain_answers()``, ``explain()``,
-``last_route`` — but does not fall back just because a priority is
-declared.  Instead it materializes the oriented dominance edges into
-side tables (:mod:`repro.prefsql.edges`), derives the per-family
-survivor tables of the winnow selection (:mod:`repro.prefsql.winnow`),
-and composes them with the backend's NOT-EXISTS rewriting: an answer
-is certain iff some preferred witness row's group is certified by
-*every preferred class*, and possible iff some preferred class holds a
-witness.  Both conditions are single SQL statements.
+:class:`PrefSqlCqaEngine` mirrors :class:`~repro.cqa.engine.CqaEngine`'s
+``answer()`` / ``certain_answers()`` / ``sql_certain_answers()`` surface
+but evaluates rewritable queries *inside* SQLite: no conflict-graph
+construction, no repair streaming, one SQL statement per answer set.
+It does not fall back just because a priority is declared.  Instead it
+materializes the oriented dominance edges into side tables
+(:mod:`repro.prefsql.edges`), derives the per-family survivor tables of
+the winnow selection (:mod:`repro.prefsql.winnow`), and composes them
+with the backend's NOT-EXISTS rewriting (:mod:`repro.backend.rewrite`):
+an answer is certain iff some preferred witness row's group is
+certified by *every preferred class*, and possible iff some preferred
+class holds a witness.  Both conditions are single SQL statements.
+
+With an empty priority winnow keeps every repair, so every family
+coincides with ``Rep`` and the engine is the classic pushdown;
+:class:`~repro.backend.engine.SqlCqaEngine` is this class with declared
+priorities routed to the in-memory fallback.
 
 Routing of the last call, via :attr:`last_route`:
 
@@ -90,8 +95,13 @@ class PrefSqlCqaEngine:
     ``priority`` accepts ``(winner, loser)`` row pairs or a
     :class:`~repro.priorities.priority.Priority` (whose dominator index
     is exported through ``dominance_rows()``).  ``relation_names``
-    widens the visible schema like :class:`SqlCqaEngine` does.
+    widens the visible schema to tables created outside repro.
     """
+
+    #: ``engine`` label of the query metrics and recorder entries.
+    _ENGINE_LABEL = "prefsql"
+    #: Span wrapping the pushed SQL statement.
+    _EXECUTE_SPAN = "winnow-execute"
 
     def __init__(
         self,
@@ -140,12 +150,12 @@ class PrefSqlCqaEngine:
             if reason is not None:
                 self._blocked[name] = reason
         #: (relation, family) -> (survivor table, fully resolved).
-        self._survivors: Dict[Tuple[str, Family], Tuple[str, bool]] = {}
+        self._survivors: Dict[Tuple[str, Family], Tuple[str, bool]] = {}  # guarded-by: _lock
         self._conflicts_materialized: Set[str] = set()
         # Bounded LRU: the broker keeps one engine alive per database
         # for the process lifetime, so an unbounded per-query decision
         # memo would grow with client traffic.
-        self._decisions: "OrderedDict[Tuple[Formula, Optional[Tuple[str, ...]], Family], RewriteDecision]" = (
+        self._decisions: "OrderedDict[Tuple[Formula, Optional[Tuple[str, ...]], Family], RewriteDecision]" = (  # guarded-by: _lock
             OrderedDict()
         )
         self._max_decisions = 1024
@@ -194,13 +204,15 @@ class PrefSqlCqaEngine:
                 raise CyclicPriorityError(
                     "extending the priority creates a cycle"
                 )
+            # An engine built without edges never cleared the side
+            # table, which may still hold a previous engine's rows.
             counts = materialize_edges(
                 self._connection,
                 self.schema,
                 self.dependencies,
                 self._profiles,
                 extra,
-                append=True,
+                append=bool(self.priority_edges),
             )
             self.priority_edges = combined
             for name, count in counts.items():
@@ -237,7 +249,7 @@ class PrefSqlCqaEngine:
 
     def _survivors_for(self, relation: str, family: Family) -> Tuple[str, bool]:
         key = (relation, family)
-        cached = self._survivors.get(key)
+        cached = self._survivors.get(key)  # lint: unguarded-ok (caller holds _lock)
         if cached is not None:
             return cached
         profile = self._profiles[relation]
@@ -260,7 +272,7 @@ class PrefSqlCqaEngine:
                 table,
                 not has_unresolved_group(self._connection, profile, table),
             )
-        self._survivors[key] = result
+        self._survivors[key] = result  # lint: unguarded-ok (caller holds _lock)
         return result
 
     # Routing -----------------------------------------------------------------
@@ -367,13 +379,13 @@ class PrefSqlCqaEngine:
             annotate(route="fallback", reason=decision.reason)
             answer = self._fallback().answer(formula, family)
             observe_query(
-                "prefsql", self.last_route, str(family),
+                self._ENGINE_LABEL, self.last_route, str(family),
                 time.perf_counter() - started,
             )
             return answer
         self.last_route = decision.route
         annotate(route=decision.route)
-        with obs_span("winnow-execute", route=decision.route):
+        with obs_span(self._EXECUTE_SPAN, route=decision.route):
             result = decision.plan.run(self._connection)
         if result.certain:
             verdict = Verdict.TRUE  # true in every preferred repair
@@ -382,7 +394,7 @@ class PrefSqlCqaEngine:
         else:
             verdict = Verdict.FALSE  # true in no preferred repair
         observe_query(
-            "prefsql", decision.route, str(family),
+            self._ENGINE_LABEL, decision.route, str(family),
             time.perf_counter() - started,
         )
         return ClosedAnswer(family, verdict, 0, 0, None, route=decision.route)
@@ -416,16 +428,16 @@ class PrefSqlCqaEngine:
                 formula, variables, family
             )
             observe_query(
-                "prefsql", self.last_route, str(family),
+                self._ENGINE_LABEL, self.last_route, str(family),
                 time.perf_counter() - started,
             )
             return answers
         self.last_route = decision.route
         annotate(route=decision.route)
-        with obs_span("winnow-execute", route=decision.route):
+        with obs_span(self._EXECUTE_SPAN, route=decision.route):
             result = decision.plan.run(self._connection)
         observe_query(
-            "prefsql", decision.route, str(family),
+            self._ENGINE_LABEL, decision.route, str(family),
             time.perf_counter() - started,
         )
         return OpenAnswers(
@@ -454,7 +466,7 @@ class PrefSqlCqaEngine:
             "dependencies": len(self.dependencies),
             "priority_edges": len(self.priority_edges),
             "prioritized_relations": sorted(self._edge_counts),
-            "survivor_tables": len(self._survivors),
+            "survivor_tables": len(self._survivors),  # lint: unguarded-ok (snapshot)
             "family": str(self.family),
             "last_route": self.last_route,
         }

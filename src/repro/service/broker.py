@@ -9,7 +9,8 @@ is computed once and shared across the batch, and results are memoized
 in a bounded, content-keyed :class:`AnswerCache`.
 
 Routing picks the cheapest capable engine per query, reusing the
-rewritability analysis behind :attr:`SqlCqaEngine.last_route`:
+rewritability analysis behind :attr:`PrefSqlCqaEngine.last_route`.  Both
+pushdowns run on the mirror's one pushed engine:
 
 1. **prefsql pushdown** — active priority edges and the query is
    rewritable: the preference-aware winnow rewriting
@@ -576,33 +577,24 @@ class RequestBroker:
                 target = None  # prefsql disabled: stream in memory
             else:
                 target = "sqlite"
+            # Statically blocked queries skip the mirror entirely: no
+            # refresh, no pushed-engine construction, no probe.  The
+            # report predicts exactly what explain() would say for
+            # every data-independent condition.
+            if target is not None and self._route_report(
+                entry, formula, variables, active
+            ).blocked(target):
+                target = None
             if target is not None:
-                # Statically blocked queries skip the mirror entirely:
-                # no refresh, no pushed-engine construction, no probe.
-                # The report predicts exactly what explain() would say
-                # for every data-independent condition.
-                report = self._route_report(entry, formula, variables, active)
-                if report.blocked(target):
-                    target = None
-            pushed_engine = None
-            engine_label = "incremental"
-            # Lazy snapshot: assembling the Database is O(instance), so
-            # hand the mirror a supplier it only calls when dirty.
-            # Refresh and engine construction serialize on mirror_lock;
-            # the pushed SQL below runs concurrently across readers.
-            if target == "prefsql":
+                # Lazy snapshot: assembling the Database is O(instance),
+                # so hand the mirror a supplier it only calls when
+                # dirty.  Refresh and engine construction serialize on
+                # mirror_lock; the pushed SQL below runs concurrently
+                # across readers.
                 with entry.mirror_lock:
                     pushed_engine = entry.mirror.pref_engine_for(
                         entry.engine.current_database, active
                     )
-                engine_label = "prefsql"
-            elif target == "sqlite":
-                with entry.mirror_lock:
-                    pushed_engine = entry.mirror.engine_for(
-                        entry.engine.current_database
-                    )
-                engine_label = "sqlite"
-            if pushed_engine is not None:
                 # explain() may build survivor temp tables, so on
                 # SQLite builds without serialized threading the whole
                 # pushed section (not just the final SELECTs) must hold
@@ -630,7 +622,7 @@ class RequestBroker:
                                 formula, variables, family
                             )
                 if outcome is not None:
-                    return outcome, engine_label, outcome.route or engine_label
+                    return outcome, target, outcome.route or target
         with entry.compute_lock:
             if formula.is_closed and not variables:
                 outcome = entry.engine.answer(formula, family, self.parallel)

@@ -54,8 +54,13 @@ FAMILY_CODES: Dict[str, Family] = {
 }
 
 
-def _sorted_answers(tuples) -> List[Tuple]:
-    """Deterministic listing order for mixed name/number answer tuples."""
+def sorted_answers(tuples) -> List[Tuple]:
+    """Deterministic listing order for answer tuples.
+
+    Answer columns can mix names and naturals (e.g. active-domain
+    variables), so plain ``sorted`` would raise on ``int < str``;
+    this mirrors the mixed-domain ordering rows use.
+    """
 
     def key(answer):
         return tuple(
@@ -132,9 +137,9 @@ def encode_result(result: BrokerResult) -> dict:
             kind="open",
             family=str(outcome.family),
             variables=list(outcome.variables),
-            certain=[list(answer) for answer in _sorted_answers(outcome.certain)],
+            certain=[list(answer) for answer in sorted_answers(outcome.certain)],
             possible=[
-                list(answer) for answer in _sorted_answers(outcome.possible)
+                list(answer) for answer in sorted_answers(outcome.possible)
             ],
             repairs_considered=outcome.repairs_considered,
         )

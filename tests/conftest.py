@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 from typing import List, Tuple
 
 import pytest
@@ -30,6 +31,35 @@ def kv_schema() -> RelationSchema:
 @pytest.fixture
 def kv_fds() -> Tuple[FunctionalDependency, ...]:
     return GRID_FDS
+
+
+@pytest.fixture
+def serve_http():
+    """Start HTTP front ends on free ports; stop them at teardown.
+
+    ``serve_http(front)`` returns the running server.  The short poll
+    interval keeps ``shutdown()`` from waiting out the 0.5 s default.
+    """
+    from repro.service.server import make_http_server
+
+    running = []
+
+    def start(front):
+        server = make_http_server(front, port=0)
+        thread = threading.Thread(
+            target=server.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            daemon=True,
+        )
+        thread.start()
+        running.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in running:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.relational.instance import RelationInstance
 from repro.relational.schema import RelationSchema
 from repro.service.broker import Request, RequestBroker
 from repro.service.loadgen import CellSpec, InProcessTarget, LoadGenerator
-from repro.service.server import ServiceFrontEnd, make_http_server
+from repro.service.server import ServiceFrontEnd
 
 _SAMPLE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [0-9.e+-]+$|^.* \+Inf.*$"
@@ -116,13 +116,8 @@ class TestScrapeUnderLoad:
     """/metrics and /debug/queries stay coherent while loadgen runs."""
 
     @pytest.fixture
-    def server(self, front):
-        server = make_http_server(front, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.shutdown()
-        server.server_close()
+    def server(self, front, serve_http):
+        return serve_http(front)
 
     def _url(self, server, path):
         host, port = server.server_address[:2]

@@ -6,7 +6,6 @@ from __future__ import annotations
 import io
 import json
 import re
-import threading
 import urllib.error
 import urllib.request
 
@@ -17,7 +16,7 @@ from repro.cli import main
 from repro.datagen.generators import GRID_FDS, grid_instance
 from repro.obs import RECORDER, REGISTRY
 from repro.service.broker import Request, RequestBroker
-from repro.service.server import ServiceError, ServiceFrontEnd, make_http_server
+from repro.service.server import ServiceError, ServiceFrontEnd
 
 #: One sample per non-comment exposition line: name{labels} value
 _SAMPLE = re.compile(
@@ -131,13 +130,8 @@ class TestAccessLog:
 
 class TestHttpMetricsEndpoint:
     @pytest.fixture
-    def server(self, front):
-        server = make_http_server(front, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.shutdown()
-        server.server_close()
+    def server(self, front, serve_http):
+        return serve_http(front)
 
     def _url(self, server, path):
         host, port = server.server_address[:2]
@@ -232,13 +226,8 @@ class TestFlightRecorderServing:
 
 class TestHttpDebugEndpoints:
     @pytest.fixture
-    def server(self, front):
-        server = make_http_server(front, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.shutdown()
-        server.server_close()
+    def server(self, front, serve_http):
+        return serve_http(front)
 
     def _url(self, server, path):
         host, port = server.server_address[:2]
@@ -291,14 +280,9 @@ class TestHttpDebugEndpoints:
 
 class TestCliTopTrace:
     @pytest.fixture
-    def server(self, front):
-        server = make_http_server(front, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        yield f"http://{host}:{port}", front
-        server.shutdown()
-        server.server_close()
+    def server(self, front, serve_http):
+        host, port = serve_http(front).server_address[:2]
+        return f"http://{host}:{port}", front
 
     def test_top_renders_recorded_queries(self, server, capsys):
         url, front = server

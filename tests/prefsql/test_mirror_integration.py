@@ -1,4 +1,4 @@
-"""SqliteMirror integration: refresh hooks and incremental edges."""
+"""SqliteMirror integration: refresh and incremental edges."""
 
 from __future__ import annotations
 
@@ -32,18 +32,24 @@ EDGE_A = (_row("k0", 1, "y"), _row("k0", 0, "x"))
 EDGE_B = (_row("k0", 2, "z"), _row("k0", 1, "y"))
 
 
-class TestRefreshHooks:
-    def test_custom_hook_runs_on_every_refresh(self):
-        observed = []
+class TestRefresh:
+    def test_only_a_dirty_mirror_resaves(self):
+        saves = []
+
+        def supplier():
+            saves.append(1)
+            return _database()
+
         with SqliteMirror(FDS) as mirror:
-            mirror.add_refresh_hook(lambda connection: observed.append(1))
-            mirror.engine_for(_database())
-            assert observed == [1]
-            mirror.engine_for(_database())  # clean: no refresh
-            assert observed == [1]
+            first = mirror.engine_for(supplier)
+            assert saves == [1]
+            assert mirror.engine_for(supplier) is first  # clean: no refresh
+            assert saves == [1]
             mirror.mark_dirty()
-            mirror.engine_for(_database())
-            assert observed == [1, 1]
+            second = mirror.engine_for(supplier)
+            assert saves == [1, 1]
+            assert second is not first  # the refresh dropped the engine
+            assert mirror.engine_for(supplier) is second
 
     def test_refresh_invalidates_the_pref_engine(self):
         with SqliteMirror(FDS) as mirror:
@@ -51,6 +57,16 @@ class TestRefreshHooks:
             mirror.mark_dirty()
             second = mirror.pref_engine_for(_database(), [EDGE_A])
             assert second is not first  # rowids were reassigned
+
+    def test_no_priority_decision_memo_stays_bounded(self):
+        """The mirror's engine lives until the next write, so its
+        per-query decision memo must not grow with distinct texts."""
+        with SqliteMirror(FDS) as mirror:
+            engine = mirror.engine_for(_database())
+            for value in range(1100):
+                engine.explain(f"EXISTS b . R(x, {value}, b)")
+            assert mirror.engine_for(_database()) is engine
+            assert len(engine._decisions) <= 1024
 
 
 class TestIncrementalEdges:
@@ -81,6 +97,22 @@ class TestIncrementalEdges:
             second = mirror.pref_engine_for(_database(), [EDGE_A])
             assert second is not first
             assert len(second.priority_edges) == 1
+
+    def test_regrown_priority_drops_stale_edges(self):
+        """Edges of an engine replaced by a no-priority one must not
+        leak into a later extension of that engine."""
+        query = "EXISTS b . R(x, y, b)"
+        with SqliteMirror(FDS, Family.COMMON) as mirror:
+            mirror.pref_engine_for(_database(), [EDGE_A, EDGE_B])
+            mirror.engine_for(_database())
+            engine = mirror.pref_engine_for(_database(), [EDGE_A])
+            result = engine.certain_answers(query)
+            assert engine.last_route == "prefsql"
+        reference = CqaEngine(
+            _database(), FDS, [EDGE_A], Family.COMMON
+        ).certain_answers(query)
+        assert result.certain == reference.certain
+        assert result.possible == reference.possible
 
     def test_reused_engine_adopts_the_requested_family(self):
         with SqliteMirror(FDS) as mirror:

@@ -118,100 +118,80 @@ class TestRouteReportFreshnessHttp:
 
     QUERY = "EXISTS y . R(x, y)"
 
-    def test_update_changing_priority_state_misses_cache(self, broker, front):
+    def test_update_changing_priority_state_misses_cache(
+        self, broker, front, serve_http
+    ):
         import json
-        import threading
         import urllib.request
-
-        from repro.service.server import make_http_server
 
         rows = sorted(grid_instance(3, 2).rows)
         winner, loser = rows[0], rows[1]  # (0, 0) beats (0, 1): one clique
         broker.prefer(winner, loser, "grid")
 
-        server = make_http_server(front, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = server.server_address[:2]
+        host, port = serve_http(front).server_address[:2]
 
-            def post(path, payload):
-                request = urllib.request.Request(
-                    f"http://{host}:{port}{path}",
-                    data=json.dumps(payload).encode(),
-                    headers={"Content-Type": "application/json"},
-                )
-                with urllib.request.urlopen(request) as response:
-                    return json.loads(response.read())
-
-            def counters():
-                with urllib.request.urlopen(
-                    f"http://{host}:{port}/stats"
-                ) as response:
-                    return json.loads(response.read())["route_reports"]
-
-            # Priority active: the report blocks sqlite (RA302) and a
-            # repeat is served from the cache.
-            first = post("/analyze", {"query": self.QUERY})
-            repeat = post("/analyze", {"query": self.QUERY})
-            assert repeat["fingerprint"] == first["fingerprint"]
-            codes = [d["code"] for d in first["diagnostics"]]
-            assert any(code.startswith("RA302") for code in codes)
-            stats = counters()
-            assert stats["misses"] == 1
-            assert stats["hits"] == 1
-
-            # Deleting the loser deactivates the declared edge: the next
-            # analyze MUST miss the cache and see an unblocked pushdown.
-            deletion = post(
-                "/update",
-                {"op": "delete", "relation": "R", "values": list(loser.values)},
-            )
-            assert deletion["op"] == "delete"
-            fresh = post("/analyze", {"query": self.QUERY})
-            assert counters()["misses"] == 2
-            assert fresh["fingerprint"] != first["fingerprint"]
-            fresh_codes = [d["code"] for d in fresh["diagnostics"]]
-            assert not any(code.startswith("RA302") for code in fresh_codes)
-            assert fresh["routes"]["sqlite"] == "sqlite"
-
-            # Re-inserting restores the active-priority state: the key
-            # matches the original entry again (a hit, not a recompute).
-            post("/update", {"relation": "R", "values": list(loser.values)})
-            revived = post("/analyze", {"query": self.QUERY})
-            assert revived["fingerprint"] == first["fingerprint"]
-            stats = counters()
-            assert stats["misses"] == 2
-            assert stats["hits"] == 2
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-
-
-class TestAnalyzeHttp:
-    def test_post_analyze_path(self, front):
-        import json
-        import threading
-        import urllib.request
-
-        from repro.service.server import make_http_server
-
-        server = make_http_server(front, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = server.server_address[:2]
+        def post(path, payload):
             request = urllib.request.Request(
-                f"http://{host}:{port}/analyze",
-                data=json.dumps({"query": "EXISTS y . R(x, y)"}).encode(),
+                f"http://{host}:{port}{path}",
+                data=json.dumps(payload).encode(),
                 headers={"Content-Type": "application/json"},
             )
             with urllib.request.urlopen(request) as response:
-                body = json.loads(response.read())
-            assert body["routes"]["sqlite"] == "sqlite"
-            assert body["fingerprint"]
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+                return json.loads(response.read())
+
+        def counters():
+            with urllib.request.urlopen(
+                f"http://{host}:{port}/stats"
+            ) as response:
+                return json.loads(response.read())["route_reports"]
+
+        # Priority active: the report blocks sqlite (RA302) and a
+        # repeat is served from the cache.
+        first = post("/analyze", {"query": self.QUERY})
+        repeat = post("/analyze", {"query": self.QUERY})
+        assert repeat["fingerprint"] == first["fingerprint"]
+        codes = [d["code"] for d in first["diagnostics"]]
+        assert any(code.startswith("RA302") for code in codes)
+        stats = counters()
+        assert stats["misses"] == 1
+        assert stats["hits"] == 1
+
+        # Deleting the loser deactivates the declared edge: the next
+        # analyze MUST miss the cache and see an unblocked pushdown.
+        deletion = post(
+            "/update",
+            {"op": "delete", "relation": "R", "values": list(loser.values)},
+        )
+        assert deletion["op"] == "delete"
+        fresh = post("/analyze", {"query": self.QUERY})
+        assert counters()["misses"] == 2
+        assert fresh["fingerprint"] != first["fingerprint"]
+        fresh_codes = [d["code"] for d in fresh["diagnostics"]]
+        assert not any(code.startswith("RA302") for code in fresh_codes)
+        assert fresh["routes"]["sqlite"] == "sqlite"
+
+        # Re-inserting restores the active-priority state: the key
+        # matches the original entry again (a hit, not a recompute).
+        post("/update", {"relation": "R", "values": list(loser.values)})
+        revived = post("/analyze", {"query": self.QUERY})
+        assert revived["fingerprint"] == first["fingerprint"]
+        stats = counters()
+        assert stats["misses"] == 2
+        assert stats["hits"] == 2
+
+
+class TestAnalyzeHttp:
+    def test_post_analyze_path(self, front, serve_http):
+        import json
+        import urllib.request
+
+        host, port = serve_http(front).server_address[:2]
+        request = urllib.request.Request(
+            f"http://{host}:{port}/analyze",
+            data=json.dumps({"query": "EXISTS y . R(x, y)"}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request) as response:
+            body = json.loads(response.read())
+        assert body["routes"]["sqlite"] == "sqlite"
+        assert body["fingerprint"]

@@ -25,7 +25,7 @@ from repro.service.loadgen import (
     build_schedule,
     canonical_answer,
 )
-from repro.service.server import ServiceFrontEnd, make_http_server
+from repro.service.server import ServiceFrontEnd
 
 SCRATCH = RelationSchema("W", ["K:number", "V:number"])
 
@@ -401,33 +401,25 @@ class TestCliWorkloadLoadtest:
 
 
 class TestHttpRejection:
-    def test_saturated_service_answers_503(self, broker):
+    def test_saturated_service_answers_503(self, broker, serve_http):
         broker.admission.max_inflight = 1
         broker.admission.max_queue = 0
-        front = ServiceFrontEnd(broker)
-        server = make_http_server(front, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
-            request = urllib.request.Request(
-                f"http://{host}:{port}/query",
-                data=json.dumps(
-                    {"query": "EXISTS a, b, c, d . R(a, b, c, d)"}
-                ).encode(),
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
-            with broker.admission.admit():
-                with pytest.raises(urllib.error.HTTPError) as excinfo:
-                    urllib.request.urlopen(request)
-                assert excinfo.value.code == 503
-                body = json.loads(excinfo.value.read())
-                assert body["rejected"] is True
-                assert "saturated" in body["error"]
-            # Slot released: the same request now succeeds.
-            with urllib.request.urlopen(request) as response:
-                assert response.status == 200
-        finally:
-            server.shutdown()
-            server.server_close()
+        host, port = serve_http(ServiceFrontEnd(broker)).server_address[:2]
+        request = urllib.request.Request(
+            f"http://{host}:{port}/query",
+            data=json.dumps(
+                {"query": "EXISTS a, b, c, d . R(a, b, c, d)"}
+            ).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with broker.admission.admit():
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request)
+            assert excinfo.value.code == 503
+            body = json.loads(excinfo.value.read())
+            assert body["rejected"] is True
+            assert "saturated" in body["error"]
+        # Slot released: the same request now succeeds.
+        with urllib.request.urlopen(request) as response:
+            assert response.status == 200

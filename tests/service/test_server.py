@@ -4,18 +4,13 @@ from __future__ import annotations
 
 import io
 import json
-import threading
 import urllib.request
 
 import pytest
 
 from repro.datagen.generators import GRID_FDS, grid_instance
 from repro.service.broker import RequestBroker
-from repro.service.server import (
-    ServiceFrontEnd,
-    make_http_server,
-    serve_stdio,
-)
+from repro.service.server import ServiceFrontEnd, serve_stdio
 
 
 @pytest.fixture
@@ -98,13 +93,8 @@ class TestFrontEndOps:
 
 class TestHttpTransport:
     @pytest.fixture
-    def server(self, front):
-        server = make_http_server(front, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.shutdown()
-        server.server_close()
+    def server(self, front, serve_http):
+        return serve_http(front)
 
     def _url(self, server, path):
         host, port = server.server_address[:2]

@@ -54,6 +54,7 @@ DEFAULT_FILES = (
     "src/repro/service/broker.py",
     "src/repro/service/loadgen.py",
     "src/repro/service/rwlock.py",
+    "src/repro/prefsql/engine.py",
     "src/repro/obs/registry.py",
     "src/repro/obs/recorder.py",
     "src/repro/query/evaluator.py",
