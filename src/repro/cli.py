@@ -41,7 +41,6 @@ from repro.relational.csv_io import read_instance_csv
 from repro.relational.instance import RelationInstance
 from repro.relational.rows import sorted_rows
 from repro.relational.sqlite_io import load_database, load_instance
-from repro.service.server import sorted_answers
 
 _FAMILY_CODES = {
     "Rep": Family.REP,
@@ -217,8 +216,8 @@ def _cmd_cqa(args: argparse.Namespace) -> int:
     return 0 if answer.verdict.value != "undetermined" else 2
 
 
-def _format_answer_tuples(tuples) -> str:
-    return ", ".join(str(tuple(answer)) for answer in sorted_answers(tuples)) or "(none)"
+def _format_answer_tuples(listing) -> str:
+    return ", ".join(str(tuple(answer)) for answer in listing) or "(none)"
 
 
 def _open_answers_verdict(result) -> str:
@@ -500,16 +499,16 @@ def _execute_query(args: argparse.Namespace, engine, route, family):
             "backend": route(),
             "family": str(family),
             "variables": list(result.variables),
-            "certain": list(map(list, sorted_answers(result.certain))),
-            "possible": list(map(list, sorted_answers(result.possible))),
+            "certain": list(map(list, result.sorted_certain)),
+            "possible": list(map(list, result.sorted_possible)),
         }
     print(f"backend: {route()}")
     if not result.variables:
         print(f"family={family} verdict={_open_answers_verdict(result)}")
         return (0 if _open_answers_verdict(result) != "undetermined" else 2), None
     print(f"variables: {', '.join(result.variables)}")
-    print(f"certain: {_format_answer_tuples(result.certain)}")
-    print(f"possible: {_format_answer_tuples(result.possible)}")
+    print(f"certain: {_format_answer_tuples(result.sorted_certain)}")
+    print(f"possible: {_format_answer_tuples(result.sorted_possible)}")
     return 0, None
 
 
@@ -670,12 +669,8 @@ def _cmd_session(args: argparse.Namespace) -> int:
                             "family": str(family),
                             "backend": backend_used,
                             "variables": list(result.variables),
-                            "certain": list(
-                                map(list, sorted_answers(result.certain))
-                            ),
-                            "possible": list(
-                                map(list, sorted_answers(result.possible))
-                            ),
+                            "certain": list(map(list, result.sorted_certain)),
+                            "possible": list(map(list, result.sorted_possible)),
                             "repairs_considered": result.repairs_considered,
                         }
                     )

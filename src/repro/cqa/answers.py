@@ -16,11 +16,31 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple
+from functools import cached_property
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 from repro.core.families import Family
 from repro.relational.domain import Value
 from repro.relational.rows import Row
+
+
+def sorted_answers(
+    tuples: Iterable[Tuple[Value, ...]],
+) -> Tuple[Tuple[Value, ...], ...]:
+    """Deterministic listing order for answer tuples.
+
+    Answer columns can mix names and naturals (e.g. active-domain
+    variables), so plain ``sorted`` would raise on ``int < str``;
+    this mirrors the mixed-domain ordering rows use.
+    """
+
+    def key(answer):
+        return tuple(
+            (0, f"{value:020d}") if isinstance(value, int) else (1, str(value))
+            for value in answer
+        )
+
+    return tuple(sorted(tuples, key=key))
 
 
 class Verdict(enum.Enum):
@@ -81,3 +101,16 @@ class OpenAnswers:
     def disputed(self) -> FrozenSet[Tuple[Value, ...]]:
         """Answers true in some but not all preferred repairs."""
         return self.possible - self.certain
+
+    # Listings are memoized on the (immutable) answer object: a cached
+    # answer served many times is sorted once, not once per response.
+
+    @cached_property
+    def sorted_certain(self) -> Tuple[Tuple[Value, ...], ...]:
+        """The certain answers in :func:`sorted_answers` order."""
+        return sorted_answers(self.certain)
+
+    @cached_property
+    def sorted_possible(self) -> Tuple[Tuple[Value, ...], ...]:
+        """The possible answers in :func:`sorted_answers` order."""
+        return sorted_answers(self.possible)

@@ -113,8 +113,9 @@ def observe_cache(
     """Record a cache event: ``event`` is "hit", "miss", or "eviction".
 
     ``cache`` names the family: "answer" (broker result cache),
-    "context" (evaluator contexts), or "component_repair" (incremental
-    per-component repair sets).
+    "route_report" (broker route analyses), "parse" (broker parse
+    memo), "context" (evaluator contexts), or "component_repair"
+    (incremental per-component repair sets).
     """
     if not registry.enabled:
         return

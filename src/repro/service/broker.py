@@ -6,7 +6,9 @@ IncrementalCqaEngine` and (optionally) a lazily refreshed SQLite mirror.
 Batches of :class:`Request` objects are served priority-first; identical
 in-flight work — same database state, query, family, answer columns —
 is computed once and shared across the batch, and results are memoized
-in a bounded, content-keyed :class:`AnswerCache`.
+in a bounded, content-keyed :class:`AnswerCache`.  Query texts are
+parsed and schema-checked once per database (a bounded parse memo), so
+a repeated query reaches the cache without re-tokenizing.
 
 Routing picks the cheapest capable engine per query, reusing the
 rewritability analysis behind :attr:`PrefSqlCqaEngine.last_route`.  Both
@@ -83,6 +85,10 @@ _SQLITE_SERIALIZED = sqlite3.threadsafety == 3
 
 #: A component fingerprint: the vertex set of one connected component.
 Component = FrozenSet[Row]
+
+#: Bound on the parse memo: distinct ``(database, query text)`` pairs
+#: kept, least recently used evicted first.
+_MAX_PARSED_QUERIES = 1024
 
 
 @dataclass(frozen=True)
@@ -386,6 +392,14 @@ class RequestBroker:
         self._max_route_reports = 1024
         self.route_report_hits = 0  # guarded-by: _route_report_lock
         self.route_report_misses = 0  # guarded-by: _route_report_lock
+        # A registered database's schema is fixed, so a query text
+        # parses and schema-checks to the same Formula every time: each
+        # (database, text) pair is tokenized once, and repeat traffic
+        # reuses the validated formula.
+        self._parsed: "OrderedDict[Tuple[str, str], Formula]" = OrderedDict()  # guarded-by: _parse_lock
+        self._parse_lock = threading.Lock()
+        self.parse_hits = 0  # guarded-by: _parse_lock
+        self.parse_misses = 0  # guarded-by: _parse_lock
         #: Worker count forwarded to the engines' enumeration paths
         #: (``None`` = serial, ``0`` = hardware width).
         self.parallel = parallel
@@ -492,10 +506,38 @@ class RequestBroker:
 
     # Serving ------------------------------------------------------------------
 
+    def _formula(self, entry: _Entry, query: Union[str, Formula]) -> Formula:
+        """The schema-checked formula of a query, parsed once per text.
+
+        Only successful parses are memoized: a text that fails to parse
+        or to validate raises again on every request."""
+        if not isinstance(query, str):
+            return entry.engine._to_formula(query)
+        key = (entry.name, query)
+        with self._parse_lock:
+            formula = self._parsed.get(key)
+            if formula is not None:
+                self._parsed.move_to_end(key)
+                self.parse_hits += 1
+                observe_cache("parse", "hit")
+                return formula
+            self.parse_misses += 1
+            observe_cache("parse", "miss")
+        formula = entry.engine._to_formula(query)
+        with self._parse_lock:
+            if (
+                key not in self._parsed
+                and len(self._parsed) >= _MAX_PARSED_QUERIES
+            ):
+                self._parsed.popitem(last=False)
+                observe_cache("parse", "eviction")
+            self._parsed[key] = formula
+        return formula
+
     def _normalize(
         self, entry: _Entry, request: Request
     ) -> Tuple[Formula, Tuple[str, ...], Family]:
-        formula = entry.engine._to_formula(request.query)
+        formula = self._formula(entry, request.query)
         family = request.family or entry.family
         if request.variables is not None:
             variables = tuple(request.variables)
@@ -854,6 +896,11 @@ class RequestBroker:
                 "entries": len(self._route_reports),  # lint: unguarded-ok
                 "hits": self.route_report_hits,  # lint: unguarded-ok
                 "misses": self.route_report_misses,  # lint: unguarded-ok
+            },
+            "parsed_queries": {
+                "entries": len(self._parsed),  # lint: unguarded-ok
+                "hits": self.parse_hits,  # lint: unguarded-ok
+                "misses": self.parse_misses,  # lint: unguarded-ok
             },
             "concurrent_reads": sum(
                 entry.rw.concurrent_reads for entry in self._entries.values()

@@ -17,7 +17,13 @@ from repro.datagen.generators import (
 )
 from repro.exceptions import QueryError
 from repro.relational.rows import Row
-from repro.service.broker import AnswerCache, Request, RequestBroker, _CacheSlot
+from repro.service.broker import (
+    _MAX_PARSED_QUERIES,
+    AnswerCache,
+    Request,
+    RequestBroker,
+    _CacheSlot,
+)
 
 SELF_JOIN = (
     "EXISTS b1, b2, c1, c2, d1, d2 . "
@@ -362,3 +368,94 @@ class TestThreadSafety:
             for thread in threads:
                 thread.join()
             assert not errors
+
+
+class TestParseMemo:
+    """Each (database, query text) pair is parsed and validated once."""
+
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        import repro.incremental.engine as incremental
+
+        calls = []
+        original = incremental.parse_query
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(incremental, "parse_query", counting)
+        return calls
+
+    def test_repeated_text_parses_once(self, parse_calls):
+        with _grid_broker() as broker:
+            for _ in range(5):
+                broker.query("EXISTS y . R(x, y)")
+            assert parse_calls == ["EXISTS y . R(x, y)"]
+            memo = broker.stats()["parsed_queries"]
+            assert (memo["entries"], memo["hits"], memo["misses"]) == (1, 4, 1)
+
+    def test_invalid_text_raises_every_time_and_is_not_stored(
+        self, parse_calls
+    ):
+        with _grid_broker() as broker:
+            for _ in range(3):
+                with pytest.raises(QueryError):
+                    broker.query("EXISTS y, z . R(x, y, z)")
+            assert len(parse_calls) == 3
+            assert broker.stats()["parsed_queries"]["entries"] == 0
+
+    def test_memo_is_bounded(self):
+        with _grid_broker() as broker:
+            for value in range(_MAX_PARSED_QUERIES + 100):
+                broker.analyze(f"R(x, {value})")
+            memo = broker.stats()["parsed_queries"]
+            assert memo["entries"] <= _MAX_PARSED_QUERIES
+            assert memo["misses"] == _MAX_PARSED_QUERIES + 100
+
+    def test_databases_with_different_schemas_parse_independently(self):
+        binary, quaternary = "EXISTS y . R(x, y)", "EXISTS y, z, w . R(x, y, z, w)"
+        with _grid_broker() as broker:
+            broker.register("chain", chain_instance(5), CHAIN_FDS)
+            assert broker.query(binary, database="grid").outcome.certain
+            with pytest.raises(QueryError):
+                broker.query(binary, database="chain")
+            assert broker.query(quaternary, database="chain").outcome.certain
+            with pytest.raises(QueryError):
+                broker.query(quaternary, database="grid")
+            assert broker.stats()["parsed_queries"]["entries"] == 2
+
+    def test_concurrent_lookups_lose_no_counts(self):
+        """More threads than cores on a shared memo: every lookup is
+        counted once and the bound holds."""
+        import sys
+
+        texts = [f"R(x, {value})" for value in range(40)]
+        errors = []
+        with _grid_broker() as broker:
+
+            def client(worker: int) -> None:
+                try:
+                    for step in range(200):
+                        broker.analyze(texts[(worker * 7 + step) % len(texts)])
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=client, args=(worker,))
+                    for worker in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            memo = broker.stats()["parsed_queries"]
+            assert memo["hits"] + memo["misses"] == 6 * 200
+            assert memo["entries"] == len(texts)

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
+import socket
+import statistics
+import time
 import urllib.request
 
 import pytest
 
 from repro.datagen.generators import GRID_FDS, grid_instance
 from repro.service.broker import RequestBroker
-from repro.service.server import ServiceFrontEnd, serve_stdio
+from repro.service.server import MAX_BODY_BYTES, ServiceFrontEnd, serve_stdio
 
 
 @pytest.fixture
@@ -83,6 +87,14 @@ class TestFrontEndOps:
         assert "error" in front.handle({"op": "batch", "requests": "nope"})
         assert "error" in front.handle({"op": "insert", "values": [None, {}]})
         assert "error" in front.handle({"query": "EXISTS y . R(x, y)", "priority": "high"})
+
+    def test_mutating_a_response_leaves_the_cached_answer_intact(self, front):
+        first = front.handle({"query": "EXISTS y . R(x, y)"})
+        first["certain"].append([99])
+        first["certain"][0].append("junk")
+        again = front.handle({"query": "EXISTS y . R(x, y)"})
+        assert again["cached"] is True
+        assert again["certain"] == [[0], [1], [2]]
 
     def test_stats_counts_requests(self, front):
         front.handle({"query": "EXISTS y . R(x, y)"})
@@ -170,6 +182,82 @@ class TestHttpTransport:
     def test_query_error_is_400(self, server):
         status, body = self._post(server, "/query", {"query": ""})
         assert status == 400 and "error" in body
+
+    def test_keep_alive_hits_do_not_stall(self, server):
+        """Repeat traffic on one connection costs a lookup, not a delayed
+        ACK: a body sent apart from its headers waits ~40 ms for one."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        payload = json.dumps({"query": "EXISTS y . R(x, y)"})
+
+        def timed(method, path, body=None):
+            started = time.perf_counter()
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            assert response.status == 200
+            json.loads(response.read())
+            return time.perf_counter() - started
+
+        try:
+            timed("POST", "/query", payload)  # warm the answer cache
+            queries = [timed("POST", "/query", payload) for _ in range(10)]
+            health = [timed("GET", "/healthz") for _ in range(10)]
+        finally:
+            connection.close()
+        assert statistics.median(queries) < 0.020
+        assert statistics.median(health) < 0.020
+
+
+class TestHttpBodyLength:
+    """Raw-socket requests with a bad or oversized Content-Length."""
+
+    @pytest.fixture
+    def server(self, front, serve_http):
+        return serve_http(front)
+
+    def _exchange(self, server, head: str, body: bytes = b""):
+        """Send one request; return (response, decoded body, closed)."""
+        address = server.server_address[:2]
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(head.encode("latin-1") + b"\r\n" + body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            payload = json.loads(response.read())
+            closed = response.will_close and sock.recv(1) == b""
+            return response, payload, closed
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5", ""])
+    def test_malformed_length_is_400(self, server, length):
+        response, body, closed = self._exchange(
+            server, f"POST /query HTTP/1.1\r\nContent-Length: {length}\r\n"
+        )
+        assert response.status == 400
+        assert "Content-Length" in body["error"]
+        assert closed
+
+    def test_oversized_body_is_413_and_closes(self, server):
+        response, body, closed = self._exchange(
+            server,
+            f"POST /query HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n",
+        )
+        assert response.status == 413
+        assert "limit" in body["error"]
+        assert closed
+
+    def test_unknown_path_consumes_its_body(self, server):
+        """The next request on the connection parses cleanly after a 404."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            connection.request("POST", "/nope", body=b'{"query": "x"}')
+            response = connection.getresponse()
+            assert response.status == 404 and "error" in json.loads(response.read())
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        finally:
+            connection.close()
 
 
 class TestStdioTransport:
