@@ -51,6 +51,29 @@ class Family(enum.Enum):
         return self.value
 
 
+def preferred_among(
+    family: Family, priority: Priority, repairs: Sequence[Repair]
+) -> List[Repair]:
+    """The members of ``repairs`` in ``X-Rep≻``, in input order.
+
+    ``repairs`` must be all repairs of ``priority.graph`` — a whole
+    conflict graph or one of its components, since every family
+    decomposes across components.  ``COMMON`` ignores it: Algorithm 1's
+    outcomes are generated directly (in :func:`repair_sort_key` order).
+    """
+    if family is Family.REP:
+        return list(repairs)
+    if family is Family.LOCAL:
+        return [r for r in repairs if is_locally_optimal(r, priority)]
+    if family is Family.SEMI_GLOBAL:
+        return [r for r in repairs if is_semi_globally_optimal(r, priority)]
+    if family is Family.GLOBAL:
+        return globally_optimal_repairs(priority, repairs)
+    if family is Family.COMMON:
+        return all_cleaning_results(priority)
+    raise ValueError(f"unknown family {family!r}")  # pragma: no cover
+
+
 def preferred_repairs(
     family: Family,
     priority: Priority,
@@ -64,22 +87,10 @@ def preferred_repairs(
     """
     if family is Family.COMMON:
         return all_cleaning_results(priority)
-    pool: List[Repair] = (
-        list(repairs)
-        if repairs is not None
-        else list(enumerate_repairs(priority.graph))
+    pool = list(
+        repairs if repairs is not None else enumerate_repairs(priority.graph)
     )
-    if family is Family.REP:
-        selected = pool
-    elif family is Family.LOCAL:
-        selected = [r for r in pool if is_locally_optimal(r, priority)]
-    elif family is Family.SEMI_GLOBAL:
-        selected = [r for r in pool if is_semi_globally_optimal(r, priority)]
-    elif family is Family.GLOBAL:
-        selected = globally_optimal_repairs(priority, pool)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown family {family!r}")
-    return sorted(selected, key=repair_sort_key)
+    return sorted(preferred_among(family, priority, pool), key=repair_sort_key)
 
 
 def is_preferred_repair(

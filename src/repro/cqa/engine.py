@@ -39,16 +39,19 @@ from repro.obs import span as obs_span
 
 from repro.constraints.conflict_graph import ConflictGraph, build_conflict_graph
 from repro.constraints.fd import FunctionalDependency
-from repro.core.cleaning import all_cleaning_results
 from repro.core.families import Family, preferred_repairs
 from repro.core.optimality import is_locally_optimal, is_semi_globally_optimal
-from repro.cqa.answers import ClosedAnswer, OpenAnswers, Verdict
+from repro.cqa.answers import (
+    ClosedAnswer,
+    ClosedMerge,
+    OpenAnswers,
+    fold_closed,
+    fold_open,
+)
 from repro.exceptions import QueryError
 from repro.priorities.priority import Priority, PriorityEdge
-from repro.query.ast import Formula, constants_of
-from repro.query.evaluator import ContextCache, EvaluationContext
-from repro.query.evaluator import answers as evaluate_answers
-from repro.query.evaluator import evaluate
+from repro.query.ast import Formula
+from repro.query.evaluator import ContextCache
 from repro.query.parser import parse_query
 from repro.query.sql import sql_to_formula
 from repro.relational.database import Database
@@ -134,10 +137,6 @@ class CqaEngine:
             naive=self.naive,
         )
 
-    def _context_for(self, repair: Repair, constants) -> EvaluationContext:
-        """Shared per-repair context: indexes and plans live across queries."""
-        return self._contexts.context_for(repair, constants)
-
     # Repair access ----------------------------------------------------------
 
     def repairs(self, family: Optional[Family] = None) -> List[Repair]:
@@ -183,19 +182,38 @@ class CqaEngine:
 
         with obs_span("parse"):
             formula = parse_query(query) if isinstance(query, str) else query
-            if isinstance(self.data, Database):
-                schema = self.data.schema
-            else:
-                from repro.relational.schema import DatabaseSchema
+            return check_against_schema(formula, self.database_schema)
 
-                schema = DatabaseSchema([self.data.schema])
-            return check_against_schema(formula, schema)
+    def _closed_merge(
+        self,
+        formula: Formula,
+        family: Family,
+        parallel: Optional[int],
+        stop_on_false: bool = False,
+    ) -> ClosedMerge:
+        """Fold a closed query over the family's repairs: streamed
+        serially, or sharded when ``parallel`` asks for workers."""
+        from repro.service.parallel import resolve_workers, run_closed, shard_plan
 
-    def _shard_plan(self, family: Family):
-        """The sharded view of this engine's preferred-repair space."""
-        from repro.service.parallel import shard_plan
-
-        return shard_plan(self.graph, self.priority, family)
+        workers = resolve_workers(parallel)
+        if workers is not None:
+            with obs_span("shard-fan-out", workers=workers):
+                return run_closed(
+                    shard_plan(self.graph, self.priority, family),
+                    formula,
+                    workers=workers,
+                    naive=self.naive,
+                    stop_on_false=stop_on_false,
+                )
+        with obs_span("stream-repairs", route=self._route):
+            merged = fold_closed(
+                self._stream_repairs(family),
+                formula,
+                self._contexts,
+                stop_on_false=stop_on_false,
+            )
+            annotate(repairs=merged.considered)
+        return merged
 
     def is_consistently_true(
         self,
@@ -209,35 +227,16 @@ class CqaEngine:
         (``0`` = hardware width, ``1`` = shard path in-process, ``None``
         = serial streaming); verdicts are identical on every path.
         """
-        family = family or self.family
         formula = self._to_formula(query)
         if not formula.is_closed:
             raise QueryError(
                 "closed-query CQA requires a closed formula; "
                 "use certain_answers() for open queries"
             )
-        from repro.service.parallel import resolve_workers
-
-        workers = resolve_workers(parallel)
-        if workers is not None:
-            from repro.service.parallel import run_closed
-
-            with obs_span("shard-fan-out", workers=workers):
-                merged = run_closed(
-                    self._shard_plan(family),
-                    formula,
-                    workers=workers,
-                    naive=self.naive,
-                    stop_on_false=True,
-                )
-            return merged.counterexample is None
-        constants = constants_of(formula)
-        with obs_span("stream-repairs", route=self._route):
-            for repair in self._stream_repairs(family):
-                context = self._context_for(repair, constants)
-                if not evaluate(formula, repair, context=context):
-                    return False
-        return True
+        merged = self._closed_merge(
+            formula, family or self.family, parallel, stop_on_false=True
+        )
+        return merged.counterexample is None
 
     def answer(
         self,
@@ -257,67 +256,15 @@ class CqaEngine:
         formula = self._to_formula(query)
         if not formula.is_closed:
             raise QueryError("answer() requires a closed formula")
-        from repro.service.parallel import resolve_workers
-
-        workers = resolve_workers(parallel)
-        if workers is not None:
-            from repro.service.parallel import run_closed
-
-            with obs_span("shard-fan-out", workers=workers):
-                merged = run_closed(
-                    self._shard_plan(family),
-                    formula,
-                    workers=workers,
-                    naive=self.naive,
-                )
-            result = self._closed_answer_from_counts(
-                family, merged.considered, merged.satisfying,
-                merged.counterexample,
-            )
-        else:
-            considered = 0
-            satisfying = 0
-            counterexample: Optional[Repair] = None
-            constants = constants_of(formula)
-            with obs_span("stream-repairs", route=self._route):
-                for repair in self._stream_repairs(family):
-                    considered += 1
-                    context = self._context_for(repair, constants)
-                    if evaluate(formula, repair, context=context):
-                        satisfying += 1
-                    elif counterexample is None:
-                        counterexample = repair
-                annotate(repairs=considered)
-            result = self._closed_answer_from_counts(
-                family, considered, satisfying, counterexample
-            )
+        result = self._closed_merge(formula, family, parallel).answer(
+            family, self._route
+        )
         annotate(route=result.route, verdict=result.verdict.value)
         observe_query(
             "cqa", result.route or self._route, str(family),
             time.perf_counter() - started,
         )
         return result
-
-    def _closed_answer_from_counts(
-        self,
-        family: Family,
-        considered: int,
-        satisfying: int,
-        counterexample: Optional[Repair],
-    ) -> ClosedAnswer:
-        if considered == 0:
-            # Cannot happen for P1-respecting families; defensive only.
-            verdict = Verdict.UNDETERMINED
-        elif satisfying == considered:
-            verdict = Verdict.TRUE
-        elif satisfying == 0:
-            verdict = Verdict.FALSE
-        else:
-            verdict = Verdict.UNDETERMINED
-        return ClosedAnswer(
-            family, verdict, considered, satisfying, counterexample,
-            route=self._route,
-        )
 
     # Open queries ---------------------------------------------------------------
 
@@ -334,56 +281,32 @@ class CqaEngine:
         (see :meth:`is_consistently_true`); the merged answer sets are
         bit-identical to serial streaming.
         """
+        from repro.service.parallel import resolve_workers, run_open, shard_plan
+
         started = time.perf_counter()
         family = family or self.family
         formula = self._to_formula(query)
         if variables is None:
             variables = tuple(sorted(formula.free_variables()))
-        from repro.service.parallel import resolve_workers
-
+        variables = tuple(variables)
         workers = resolve_workers(parallel)
         if workers is not None:
-            from repro.service.parallel import run_open
-
             with obs_span("shard-fan-out", workers=workers):
                 merged = run_open(
-                    self._shard_plan(family),
+                    shard_plan(self.graph, self.priority, family),
                     formula,
-                    tuple(variables),
+                    variables,
                     workers=workers,
                     naive=self.naive,
                 )
-            answers = OpenAnswers(
-                family,
-                tuple(variables),
-                merged.certain,
-                merged.possible,
-                merged.considered,
-                route=self._route,
-            )
         else:
-            certain: Optional[FrozenSet[Tuple]] = None
-            possible: FrozenSet[Tuple] = frozenset()
-            considered = 0
-            constants = constants_of(formula)
             with obs_span("stream-repairs", route=self._route):
-                for repair in self._stream_repairs(family):
-                    considered += 1
-                    context = self._context_for(repair, constants)
-                    result = evaluate_answers(
-                        formula, repair, variables, context=context
-                    )
-                    certain = result if certain is None else certain & result
-                    possible = possible | result
-                annotate(repairs=considered)
-            answers = OpenAnswers(
-                family,
-                variables,
-                certain if certain is not None else frozenset(),
-                possible,
-                considered,
-                route=self._route,
-            )
+                merged = fold_open(
+                    self._stream_repairs(family), formula, variables,
+                    self._contexts,
+                )
+                annotate(repairs=merged.considered)
+        answers = merged.answers(family, variables, self._route)
         annotate(route=answers.route, certain=len(answers.certain))
         observe_query(
             "cqa", answers.route or self._route, str(family),
@@ -398,11 +321,7 @@ class CqaEngine:
         parallel: Optional[int] = None,
     ) -> OpenAnswers:
         """Certain answers for a conjunctive SQL query."""
-        if not isinstance(self.data, Database):
-            schema_source = Database.single(self.data)
-        else:
-            schema_source = self.data
-        formula, variables = sql_to_formula(sql, schema_source.schema)
+        formula, variables = sql_to_formula(sql, self.database_schema)
         return self.certain_answers(formula, variables, family, parallel)
 
     # Diagnostics -------------------------------------------------------------------

@@ -9,7 +9,12 @@ in every repair).
 
 Priorities are deliberately *not* lifted here: the paper notes that
 with hyperedges "the current notion of priority does not have a clear
-meaning", so this engine serves the classic ``Rep`` family only.
+meaning", so this engine serves the classic ``Rep`` family only.  Its
+repairs do not factor into a product of component fragments the way
+conflict-graph repairs do, so it materializes them once and folds each
+query over the list with the shared :func:`~repro.cqa.answers.
+fold_closed` / :func:`~repro.cqa.answers.fold_open`.  Queries are
+validated against the schema of the data, as in every other engine.
 """
 
 from __future__ import annotations
@@ -25,16 +30,16 @@ from repro.constraints.denial import (
     build_conflict_hypergraph,
 )
 from repro.core.families import Family
-from repro.cqa.answers import ClosedAnswer, OpenAnswers, Verdict
+from repro.cqa.answers import ClosedAnswer, OpenAnswers, fold_closed, fold_open
 from repro.exceptions import QueryError
-from repro.query.ast import Formula, constants_of
+from repro.query.ast import Formula
 from repro.query.evaluator import ContextCache
-from repro.query.evaluator import answers as evaluate_answers
-from repro.query.evaluator import evaluate
 from repro.query.parser import parse_query
+from repro.query.validate import check_against_schema
 from repro.relational.database import Database
 from repro.relational.instance import RelationInstance
 from repro.relational.rows import Row
+from repro.relational.schema import DatabaseSchema
 
 
 class DenialCqaEngine:
@@ -48,10 +53,15 @@ class DenialCqaEngine:
     ) -> None:
         if isinstance(data, RelationInstance):
             rows = data.rows
+            self.schema = DatabaseSchema([data.schema])
         elif isinstance(data, Database):
             rows = data.all_rows()
+            self.schema = data.schema
         else:
             rows = frozenset(data)
+            self.schema = DatabaseSchema(
+                {row.schema.name: row.schema for row in rows}.values()
+            )
         self.constraints = tuple(constraints)
         self.hypergraph: ConflictHypergraph = build_conflict_hypergraph(
             rows, self.constraints
@@ -67,9 +77,10 @@ class DenialCqaEngine:
             self._repairs = self.hypergraph.maximal_independent_sets()
         return self._repairs
 
-    @staticmethod
-    def _to_formula(query: Union[str, Formula]) -> Formula:
-        return parse_query(query) if isinstance(query, str) else query
+    def _to_formula(self, query: Union[str, Formula]) -> Formula:
+        with obs_span("parse"):
+            formula = parse_query(query) if isinstance(query, str) else query
+            return check_against_schema(formula, self.schema)
 
     def answer(self, query: Union[str, Formula]) -> ClosedAnswer:
         """Three-valued consistent answer to a closed query."""
@@ -77,33 +88,14 @@ class DenialCqaEngine:
         formula = self._to_formula(query)
         if not formula.is_closed:
             raise QueryError("answer() requires a closed formula")
-        considered = 0
-        satisfying = 0
-        counterexample = None
-        constants = constants_of(formula)
         with obs_span("hypergraph-repairs", route=self._route):
-            for repair in self.repairs():
-                considered += 1
-                context = self._contexts.context_for(repair, constants)
-                if evaluate(formula, repair, context=context):
-                    satisfying += 1
-                elif counterexample is None:
-                    counterexample = repair
-            annotate(repairs=considered)
-        if considered and satisfying == considered:
-            verdict = Verdict.TRUE
-        elif satisfying == 0 and considered:
-            verdict = Verdict.FALSE
-        else:
-            verdict = Verdict.UNDETERMINED
+            merged = fold_closed(self.repairs(), formula, self._contexts)
+            annotate(repairs=merged.considered)
         observe_query(
             "denial", self._route, str(Family.REP),
             time.perf_counter() - started,
         )
-        return ClosedAnswer(
-            Family.REP, verdict, considered, satisfying, counterexample,
-            route=self._route,
-        )
+        return merged.answer(Family.REP, self._route)
 
     def certain_answers(
         self,
@@ -115,29 +107,13 @@ class DenialCqaEngine:
         formula = self._to_formula(query)
         if variables is None:
             variables = tuple(sorted(formula.free_variables()))
-        certain = None
-        possible = frozenset()
-        considered = 0
-        constants = constants_of(formula)
         with obs_span("hypergraph-repairs", route=self._route):
-            for repair in self.repairs():
-                considered += 1
-                context = self._contexts.context_for(repair, constants)
-                result = evaluate_answers(
-                    formula, repair, variables, context=context
-                )
-                certain = result if certain is None else certain & result
-                possible = possible | result
-            annotate(repairs=considered)
+            merged = fold_open(
+                self.repairs(), formula, tuple(variables), self._contexts
+            )
+            annotate(repairs=merged.considered)
         observe_query(
             "denial", self._route, str(Family.REP),
             time.perf_counter() - started,
         )
-        return OpenAnswers(
-            Family.REP,
-            variables,
-            certain if certain is not None else frozenset(),
-            possible,
-            considered,
-            route=self._route,
-        )
+        return merged.answers(Family.REP, variables, self._route)

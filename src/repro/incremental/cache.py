@@ -18,16 +18,10 @@ that churns through many instance versions stays bounded.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from repro.constraints.conflict_graph import ConflictGraph
-from repro.core.cleaning import all_cleaning_results
-from repro.core.families import Family
-from repro.core.optimality import (
-    globally_optimal_repairs,
-    is_locally_optimal,
-    is_semi_globally_optimal,
-)
+from repro.core.families import Family, preferred_among
 from repro.obs import observe_cache
 from repro.priorities.priority import Priority, PriorityEdge
 from repro.relational.rows import Row
@@ -42,9 +36,9 @@ Repair = FrozenSet[Row]
 FamilyKey = Tuple[Family, FrozenSet[Row], FrozenSet[PriorityEdge]]
 
 
-def _deterministic(repairs: List[Repair]) -> List[Repair]:
+def _deterministic(repairs: Iterable[Repair]) -> Tuple[Repair, ...]:
     """The listing order used by :func:`repro.core.families.preferred_repairs`."""
-    return sorted(repairs, key=repair_sort_key)
+    return tuple(sorted(repairs, key=repair_sort_key))
 
 
 class ComponentRepairCache:
@@ -55,8 +49,8 @@ class ComponentRepairCache:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self._graphs: Dict[FrozenSet[Row], ConflictGraph] = {}
-        self._fragments: Dict[FrozenSet[Row], List[Repair]] = {}
-        self._preferred: Dict[FamilyKey, List[Repair]] = {}
+        self._fragments: Dict[FrozenSet[Row], Tuple[Repair, ...]] = {}
+        self._preferred: Dict[FamilyKey, Tuple[Repair, ...]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -83,7 +77,7 @@ class ComponentRepairCache:
 
     def repair_fragments(
         self, graph: DynamicConflictGraph, component: FrozenSet[Row]
-    ) -> List[Repair]:
+    ) -> Tuple[Repair, ...]:
         """All maximal independent sets of the component."""
         cached = self._fragments.get(component)
         if cached is not None:
@@ -93,7 +87,7 @@ class ComponentRepairCache:
         subgraph = self.component_graph(graph, component)
         # The component is connected by construction; skip re-factoring.
         fragments = _deterministic(
-            list(enumerate_repairs(subgraph, factor_components=False))
+            enumerate_repairs(subgraph, factor_components=False)
         )
         self._remember(self._fragments, component, fragments)
         return fragments
@@ -104,7 +98,7 @@ class ComponentRepairCache:
         component: FrozenSet[Row],
         family: Family,
         active_edges: FrozenSet[PriorityEdge],
-    ) -> List[Repair]:
+    ) -> Tuple[Repair, ...]:
         """The family's preferred repairs *of the component* alone.
 
         Every preferred-repair family of the paper decomposes across
@@ -122,30 +116,12 @@ class ComponentRepairCache:
             self._hit()
             return cached
         self._miss()
-        fragments = self.repair_fragments(graph, component)
-        if family is Family.REP and not active_edges:
-            selected = fragments
-        else:
+        selected = self.repair_fragments(graph, component)
+        if family is not Family.REP:
             priority = Priority(
                 self.component_graph(graph, component), active_edges
             )
-            if family is Family.REP:
-                selected = fragments
-            elif family is Family.LOCAL:
-                selected = [
-                    f for f in fragments if is_locally_optimal(f, priority)
-                ]
-            elif family is Family.SEMI_GLOBAL:
-                selected = [
-                    f for f in fragments if is_semi_globally_optimal(f, priority)
-                ]
-            elif family is Family.GLOBAL:
-                selected = globally_optimal_repairs(priority, fragments)
-            elif family is Family.COMMON:
-                selected = all_cleaning_results(priority)
-            else:  # pragma: no cover - exhaustive enum
-                raise ValueError(f"unknown family {family!r}")
-        selected = _deterministic(list(selected))
+            selected = _deterministic(preferred_among(family, priority, selected))
         self._remember(self._preferred, key, selected)
         return selected
 

@@ -15,6 +15,13 @@ tuple by tuple.  Three layers make re-answering after an update cheap:
    fragment choices cover a witness support instead of materializing
    the (exponentially large) cross-product of repairs.
 
+The cached fragments of every component form one
+:class:`~repro.repairs.enumerate.RepairSpace`, which gives the repair
+count, assembles counterexamples from fragment choices, and is the
+stream any other query falls back to: folded serially with
+:func:`~repro.cqa.answers.fold_closed` / :func:`~repro.cqa.answers.
+fold_open`, or sharded as-is by :mod:`repro.service.parallel`.
+
 Priority edges are *declared*, not frozen: an edge whose endpoints stop
 conflicting after an update is silently deactivated (and reactivates if
 the conflict returns) instead of raising ``QueryError`` the way the
@@ -29,7 +36,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -40,13 +46,18 @@ from typing import (
 
 from repro.constraints.fd import FunctionalDependency
 from repro.core.families import Family
-from repro.cqa.answers import ClosedAnswer, OpenAnswers, Verdict
+from repro.cqa.answers import (
+    ClosedAnswer,
+    ClosedMerge,
+    OpenAnswers,
+    OpenMerge,
+    fold_closed,
+    fold_open,
+)
 from repro.exceptions import CyclicPriorityError, QueryError, SchemaError
 from repro.priorities.priority import Priority, PriorityEdge, digraph_has_cycle
-from repro.query.ast import Formula, constants_of
+from repro.query.ast import Formula
 from repro.query.evaluator import ContextCache
-from repro.query.evaluator import answers as evaluate_answers
-from repro.query.evaluator import evaluate
 from repro.query.parser import parse_query
 from repro.query.sql import sql_to_formula
 from repro.obs import annotate, observe_query
@@ -56,7 +67,7 @@ from repro.relational.database import Database
 from repro.relational.instance import RelationInstance
 from repro.relational.rows import Row
 from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.repairs.enumerate import repair_sort_key
+from repro.repairs.enumerate import RepairSpace, repair_sort_key
 
 from repro.incremental.cache import ComponentRepairCache
 from repro.incremental.dynamic_graph import DynamicConflictGraph, GraphDelta
@@ -232,39 +243,30 @@ class IncrementalCqaEngine:
 
     def _fragment_table(
         self, family: Family
-    ) -> Tuple[List[FrozenSet[Row]], List[List[Repair]]]:
-        """Per component (deterministic order): its preferred fragments."""
+    ) -> Tuple[List[FrozenSet[Row]], RepairSpace]:
+        """The components (deterministic order) and the product space of
+        their preferred fragments, component ``c`` at coordinate ``c``."""
         components = self.graph.connected_components()
-        fragments = [
-            self._cache.preferred_fragments(
-                self.graph, component, family, self._component_edges(component)
-            )
-            for component in components
-        ]
-        return components, fragments
-
-    def _iterate_repairs(
-        self, fragments: List[List[Repair]]
-    ) -> Iterator[Repair]:
-        """Lazy cross-product of one fragment per component."""
-        if not fragments:
-            yield frozenset()
-            return
-        for combo in product(*fragments):
-            yield frozenset().union(*combo)
+        space = RepairSpace(
+            frozenset(),
+            tuple(
+                self._cache.preferred_fragments(
+                    self.graph, component, family,
+                    self._component_edges(component),
+                )
+                for component in components
+            ),
+        )
+        return components, space
 
     def repairs(self, family: Optional[Family] = None) -> List[Repair]:
         """Materialized preferred repairs (mind the cross-product size)."""
-        _, fragments = self._fragment_table(family or self.family)
-        return sorted(self._iterate_repairs(fragments), key=repair_sort_key)
+        _, space = self._fragment_table(family or self.family)
+        return sorted(space, key=repair_sort_key)
 
     def count_repairs(self, family: Optional[Family] = None) -> int:
         """Number of preferred repairs, as a product over components."""
-        _, fragments = self._fragment_table(family or self.family)
-        total = 1
-        for options in fragments:
-            total *= len(options)
-        return total
+        return self._fragment_table(family or self.family)[1].total
 
     # Query plumbing -----------------------------------------------------------
 
@@ -298,7 +300,7 @@ class IncrementalCqaEngine:
         self,
         supports: Iterable[FrozenSet[Row]],
         components: List[FrozenSet[Row]],
-        fragments: List[List[Repair]],
+        fragments: Sequence[Sequence[Repair]],
     ) -> Tuple[Optional[List[int]], Optional[List[Dict[int, FrozenSet[int]]]], bool]:
         """Reduce supports to per-component fragment constraints.
 
@@ -387,7 +389,7 @@ class IncrementalCqaEngine:
     def _cluster_uncovered(
         comp_indexes: List[int],
         cluster_supports: List[Dict[int, FrozenSet[int]]],
-        fragments: List[List[Repair]],
+        fragments: Sequence[Sequence[Repair]],
         count_all: bool,
     ) -> Tuple[int, Optional[Dict[int, int]]]:
         """Uncovered choice count within one cluster (+ one witness choice).
@@ -412,15 +414,33 @@ class IncrementalCqaEngine:
                     break
         return uncovered, witness
 
-    def _assemble_repair(
-        self, choices: Dict[int, int], fragments: List[List[Repair]]
-    ) -> Repair:
-        """A full repair from per-component fragment choices (default 0)."""
-        parts = [
-            fragments[index][choices.get(index, 0)]
-            for index in range(len(fragments))
-        ]
-        return frozenset().union(*parts) if parts else frozenset()
+    def _covered(
+        self,
+        supports: Iterable[FrozenSet[Row]],
+        components: List[FrozenSet[Row]],
+        space: RepairSpace,
+    ) -> Tuple[bool, bool]:
+        """Whether every repair, and whether some repair, contains one of
+        the supports."""
+        relevant, compat, always = self._compatibility(
+            supports, components, space.fragments
+        )
+        if always:
+            return True, True
+        if not compat:
+            return False, False
+        # A surviving support is itself contained in some repair (choose
+        # its compatible fragments); every repair contains one iff some
+        # cluster has no uncovered choice.
+        in_every = any(
+            self._cluster_uncovered(
+                comp_indexes, cluster_supports, space.fragments,
+                count_all=False,
+            )[0]
+            == 0
+            for comp_indexes, cluster_supports in self._clusters(relevant, compat)
+        )
+        return in_every, True
 
     # Closed queries -----------------------------------------------------------
 
@@ -458,123 +478,68 @@ class IncrementalCqaEngine:
         if not formula.is_closed:
             raise QueryError("answer() requires a closed formula")
         with obs_span("plan"):
-            components, fragments = self._fragment_table(family)
-        total = 1
-        for options in fragments:
-            total *= len(options)
+            components, space = self._fragment_table(family)
+        total = space.total
         if total == 0:
             # Cannot happen for P1-respecting families; defensive only.
-            return ClosedAnswer(
-                family, Verdict.UNDETERMINED, 0, 0, None, route="witness-index"
-            )
+            return ClosedAnswer.from_counts(family, 0, 0, None, "witness-index")
         index = self._witness_index(formula, ())
         if index is None:
             with obs_span("enumerate-repairs", route=self._route):
-                return self._answer_by_enumeration(
-                    formula, family, fragments, parallel
-                )
+                merged = self._enumerate_closed(space, formula, parallel)
+            return merged.answer(family, self._route)
         with obs_span("witness-cover"):
             supports = index.supports_for(())
             relevant, compat, always = self._compatibility(
-                supports, components, fragments
+                supports, components, space.fragments
             )
         if always:
-            return ClosedAnswer(
-                family, Verdict.TRUE, total, total, None, route="witness-index"
+            return ClosedAnswer.from_counts(
+                family, total, total, None, "witness-index"
             )
         if not compat:
-            return ClosedAnswer(
-                family,
-                Verdict.FALSE,
-                total,
-                0,
-                self._assemble_repair({}, fragments),
-                route="witness-index",
+            return ClosedAnswer.from_counts(
+                family, total, 0, space.assemble({}), "witness-index"
             )
         scale = total
         for comp_index in relevant:
-            scale //= len(fragments[comp_index])
+            scale //= len(space.fragments[comp_index])
         uncovered_product = 1
         witness_choices: Dict[int, int] = {}
         for comp_indexes, cluster_supports in self._clusters(relevant, compat):
             uncovered, witness = self._cluster_uncovered(
-                comp_indexes, cluster_supports, fragments, count_all=True
+                comp_indexes, cluster_supports, space.fragments, count_all=True
             )
             uncovered_product *= uncovered
             if witness is not None:
                 witness_choices.update(witness)
-        satisfying = total - uncovered_product * scale
-        counterexample: Optional[Repair] = None
-        if uncovered_product:
-            counterexample = self._assemble_repair(witness_choices, fragments)
-        if satisfying == total:
-            verdict = Verdict.TRUE
-        elif satisfying == 0:
-            verdict = Verdict.FALSE  # pragma: no cover - needs zero supports
-        else:
-            verdict = Verdict.UNDETERMINED
-        return ClosedAnswer(
-            family, verdict, total, satisfying, counterexample,
-            route="witness-index",
+        counterexample = (
+            space.assemble(witness_choices) if uncovered_product else None
+        )
+        return ClosedAnswer.from_counts(
+            family, total, total - uncovered_product * scale, counterexample,
+            "witness-index",
         )
 
-    def _answer_by_enumeration(
+    def _enumerate_closed(
         self,
+        space: RepairSpace,
         formula: Formula,
-        family: Family,
-        fragments: List[List[Repair]],
         parallel: Optional[int] = None,
-    ) -> ClosedAnswer:
-        """Fallback for non-conjunctive queries: evaluate per repair."""
-        from repro.service.parallel import resolve_workers
+        stop_on_false: bool = False,
+    ) -> ClosedMerge:
+        """Fallback for non-conjunctive queries: evaluate per repair,
+        serially or sharded when ``parallel`` asks for workers."""
+        from repro.service.parallel import resolve_workers, run_closed
 
         workers = resolve_workers(parallel)
         if workers is not None:
-            from repro.service.parallel import plan_from_fragments, run_closed
-
-            merged = run_closed(
-                plan_from_fragments(fragments),
-                formula,
-                workers=workers,
-                naive=self.naive,
+            return run_closed(
+                space, formula, workers=workers, naive=self.naive,
+                stop_on_false=stop_on_false,
             )
-            return self._closed_from_counts(
-                family, merged.considered, merged.satisfying,
-                merged.counterexample,
-            )
-        considered = 0
-        satisfying = 0
-        counterexample: Optional[Repair] = None
-        constants = constants_of(formula)
-        for repair in self._iterate_repairs(fragments):
-            considered += 1
-            context = self._contexts.context_for(repair, constants)
-            if evaluate(formula, repair, context=context):
-                satisfying += 1
-            elif counterexample is None:
-                counterexample = repair
-        return self._closed_from_counts(
-            family, considered, satisfying, counterexample
-        )
-
-    def _closed_from_counts(
-        self,
-        family: Family,
-        considered: int,
-        satisfying: int,
-        counterexample: Optional[Repair],
-    ) -> ClosedAnswer:
-        if considered == 0:
-            verdict = Verdict.UNDETERMINED  # pragma: no cover - defensive
-        elif satisfying == considered:
-            verdict = Verdict.TRUE
-        elif satisfying == 0:
-            verdict = Verdict.FALSE
-        else:
-            verdict = Verdict.UNDETERMINED
-        return ClosedAnswer(
-            family, verdict, considered, satisfying, counterexample,
-            route=self._route,
+        return fold_closed(
+            space, formula, self._contexts, stop_on_false=stop_on_false
         )
 
     def is_consistently_true(
@@ -588,33 +553,12 @@ class IncrementalCqaEngine:
                 "closed-query CQA requires a closed formula; "
                 "use certain_answers() for open queries"
             )
-        components, fragments = self._fragment_table(family)
+        components, space = self._fragment_table(family)
         index = self._witness_index(formula, ())
         if index is None:
-            constants = constants_of(formula)
-            return all(
-                evaluate(
-                    formula,
-                    repair,
-                    context=self._contexts.context_for(repair, constants),
-                )
-                for repair in self._iterate_repairs(fragments)
-            )
-        supports = index.supports_for(())
-        relevant, compat, always = self._compatibility(
-            supports, components, fragments
-        )
-        if always:
-            return True
-        if not compat:
-            return False
-        return any(
-            self._cluster_uncovered(
-                comp_indexes, cluster_supports, fragments, count_all=False
-            )[0]
-            == 0
-            for comp_indexes, cluster_supports in self._clusters(relevant, compat)
-        )
+            merged = self._enumerate_closed(space, formula, stop_on_false=True)
+            return merged.counterexample is None
+        return self._covered(index.supports_for(()), components, space)[0]
 
     # Open queries -------------------------------------------------------------
 
@@ -652,101 +596,53 @@ class IncrementalCqaEngine:
         formula = self._to_formula(query)
         if variables is None:
             variables = tuple(sorted(formula.free_variables()))
+        variables = tuple(variables)
         with obs_span("plan"):
-            components, fragments = self._fragment_table(family)
-        total = 1
-        for options in fragments:
-            total *= len(options)
-        index = self._witness_index(formula, tuple(variables))
+            components, space = self._fragment_table(family)
+        total = space.total
+        index = self._witness_index(formula, variables)
         if index is None or total == 0:
             with obs_span("enumerate-repairs", route=self._route):
-                return self._certain_answers_by_enumeration(
-                    formula, tuple(variables), family, fragments, parallel
+                merged = self._enumerate_open(
+                    space, formula, variables, parallel
                 )
+            return merged.answers(family, variables, self._route)
         certain: Set[Tuple] = set()
         possible: Set[Tuple] = set()
         with obs_span("witness-cover"):
             for answer in index.answers():
-                relevant, compat, always = self._compatibility(
-                    index.supports_for(answer), components, fragments
+                in_every, in_some = self._covered(
+                    index.supports_for(answer), components, space
                 )
-                if always:
+                if in_every:
                     certain.add(answer)
+                if in_some:
                     possible.add(answer)
-                    continue
-                if not compat:
-                    continue
-                # A surviving support is itself contained in some repair
-                # (choose its compatible fragments), so the answer is
-                # possible.
-                possible.add(answer)
-                if any(
-                    self._cluster_uncovered(
-                        comp_indexes, cluster_supports, fragments,
-                        count_all=False,
-                    )[0]
-                    == 0
-                    for comp_indexes, cluster_supports in self._clusters(
-                        relevant, compat
-                    )
-                ):
-                    certain.add(answer)
         return OpenAnswers(
             family,
-            tuple(variables),
+            variables,
             frozenset(certain),
             frozenset(possible),
             total,
             route="witness-index",
         )
 
-    def _certain_answers_by_enumeration(
+    def _enumerate_open(
         self,
+        space: RepairSpace,
         formula: Formula,
         variables: Tuple[str, ...],
-        family: Family,
-        fragments: List[List[Repair]],
         parallel: Optional[int] = None,
-    ) -> OpenAnswers:
-        from repro.service.parallel import resolve_workers
+    ) -> OpenMerge:
+        """Fallback for non-conjunctive queries (see :meth:`_enumerate_closed`)."""
+        from repro.service.parallel import resolve_workers, run_open
 
         workers = resolve_workers(parallel)
         if workers is not None:
-            from repro.service.parallel import plan_from_fragments, run_open
-
-            merged = run_open(
-                plan_from_fragments(fragments),
-                formula,
-                variables,
-                workers=workers,
-                naive=self.naive,
+            return run_open(
+                space, formula, variables, workers=workers, naive=self.naive
             )
-            return OpenAnswers(
-                family,
-                variables,
-                merged.certain,
-                merged.possible,
-                merged.considered,
-                route=self._route,
-            )
-        certain: Optional[FrozenSet[Tuple]] = None
-        possible: FrozenSet[Tuple] = frozenset()
-        considered = 0
-        constants = constants_of(formula)
-        for repair in self._iterate_repairs(fragments):
-            considered += 1
-            context = self._contexts.context_for(repair, constants)
-            result = evaluate_answers(formula, repair, variables, context=context)
-            certain = result if certain is None else certain & result
-            possible = possible | result
-        return OpenAnswers(
-            family,
-            variables,
-            certain if certain is not None else frozenset(),
-            possible,
-            considered,
-            route=self._route,
-        )
+        return fold_open(space, formula, variables, self._contexts)
 
     def sql_certain_answers(
         self, sql: str, family: Optional[Family] = None

@@ -26,13 +26,20 @@ Example (query Q1 of the paper)::
 
     EXISTS x1, y1, z1, x2, y2, z2 .
         Mgr(Mary, x1, y1, z1) AND Mgr(John, x2, y2, z2) AND y1 < y2
+
+Nesting (negations, parentheses, quantifier bodies, implication
+consequents) is limited to :data:`MAX_NESTING_DEPTH` levels: the parser
+and every later pass over the formula recurse once per level, so deeper
+input is rejected as a syntax error instead of exhausting the
+interpreter stack.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Iterator, List, Optional, Union
 
 from repro.exceptions import QuerySyntaxError
 from repro.query.ast import (
@@ -77,6 +84,9 @@ _UNICODE_ALIASES = {
 }
 
 _OP_ALIASES = {"<>": "!=", "≠": "!=", "≤": "<=", "≥": ">="}
+
+#: Deepest formula nesting the parser accepts.
+MAX_NESTING_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -129,6 +139,7 @@ class _Parser:
         self._text = text
         self._tokens = _tokenize(text)
         self._index = 0
+        self._depth = 0
 
     # Token helpers ---------------------------------------------------------
 
@@ -158,6 +169,19 @@ class _Parser:
             raise self._error(f"expected {text or kind}")
         return token
 
+    @contextmanager
+    def _nested(self) -> Iterator[None]:
+        """One nesting level deeper, bounded by :data:`MAX_NESTING_DEPTH`."""
+        if self._depth >= MAX_NESTING_DEPTH:
+            raise self._error(
+                f"formula nested deeper than {MAX_NESTING_DEPTH} levels"
+            )
+        self._depth += 1
+        try:
+            yield
+        finally:
+            self._depth -= 1
+
     # Grammar ---------------------------------------------------------------
 
     def parse(self) -> Formula:
@@ -176,7 +200,8 @@ class _Parser:
                 while self._accept("punct", ","):
                     variables.append(self._variable_name())
                 self._expect("punct", ".")
-                return node(variables, self._quantified())
+                with self._nested():
+                    return node(variables, self._quantified())
         return self._implication()
 
     def _variable_name(self) -> str:
@@ -191,7 +216,8 @@ class _Parser:
     def _implication(self) -> Formula:
         left = self._disjunction()
         if self._accept("keyword", "IMPLIES"):
-            return Implies(left, self._quantified())
+            with self._nested():
+                return Implies(left, self._quantified())
         return left
 
     def _disjunction(self) -> Formula:
@@ -208,12 +234,14 @@ class _Parser:
 
     def _negation(self) -> Formula:
         if self._accept("keyword", "NOT"):
-            return Not(self._negation())
+            with self._nested():
+                return Not(self._negation())
         return self._primary()
 
     def _primary(self) -> Formula:
         if self._accept("punct", "("):
-            inner = self._formula()
+            with self._nested():
+                inner = self._formula()
             self._expect("punct", ")")
             return inner
         if self._accept("keyword", "TRUE"):

@@ -1,4 +1,4 @@
-"""Repair enumeration.
+"""Repair enumeration and the factored repair space.
 
 Repairs (Definition 1) are the maximal independent sets of the conflict
 graph.  There may be exponentially many (Example 4 exhibits ``2^n``
@@ -7,9 +7,12 @@ two structural optimizations:
 
 * **component factoring** — maximal independent sets of a disconnected
   graph are exactly the unions of one maximal independent set per
-  connected component, so enumeration and counting factor through the
-  components (counting becomes a product of small numbers and never
-  materializes the cross product);
+  connected component.  :class:`RepairSpace` is that product: the rows
+  of the singleton components plus one fragment list per conflicted
+  component.  It enumerates, counts (a product of small numbers, never
+  materializing the cross product) and addresses repairs by index, and
+  every preferred family factors the same way, so the engines and the
+  sharded executor all stream repairs through it;
 * **Bron–Kerbosch with pivoting** on the *complement* graph, expressed
   directly in terms of conflict-graph vicinities so the (dense)
   complement is never materialized.
@@ -17,8 +20,20 @@ two structural optimizations:
 
 from __future__ import annotations
 
-from itertools import product as _cartesian_product
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set
+from dataclasses import dataclass
+from itertools import product
+from math import prod
+from typing import (
+    Callable,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.constraints.conflict_graph import ConflictGraph, build_conflict_graph
 from repro.constraints.fd import FunctionalDependency
@@ -93,6 +108,82 @@ def _component_repairs(
     )
 
 
+@dataclass(frozen=True)
+class RepairSpace:
+    """A repair space as a product of per-component fragments.
+
+    ``base`` holds the rows present in every repair; ``fragments`` is
+    one sequence of alternative fragments per component.  A repair is
+    ``base`` plus one fragment per component, and the repair at product
+    index ``i`` is the ``i``-th one iteration yields: the mixed-radix
+    encoding of :func:`itertools.product`, last component varying
+    fastest.  Shards of an index range therefore see the serial stream
+    in order.
+    """
+
+    base: FrozenSet[Row]
+    fragments: Tuple[Sequence[Repair], ...]
+
+    @property
+    def total(self) -> int:
+        """Number of repairs in the space."""
+        return prod(len(options) for options in self.fragments)
+
+    def __iter__(self) -> Iterator[Repair]:
+        for combination in product(*self.fragments):
+            yield self.base.union(*combination)
+
+    def repair_at(self, index: int) -> Repair:
+        """The repair at one product index (mixed-radix decode)."""
+        parts: List[Repair] = []
+        for options in reversed(self.fragments):
+            index, position = divmod(index, len(options))
+            parts.append(options[position])
+        return self.base.union(*parts)
+
+    def assemble(self, choices: Mapping[int, int]) -> Repair:
+        """The repair taking fragment ``choices[c]`` of component ``c``
+        (fragment 0 where ``choices`` is silent)."""
+        return self.base.union(
+            *(
+                options[choices.get(position, 0)]
+                for position, options in enumerate(self.fragments)
+            )
+        )
+
+
+#: Per-component fragment filter: ``(component, fragments) -> kept``.
+FragmentFilter = Callable[[FrozenSet[Row], List[Repair]], Sequence[Repair]]
+
+
+def repair_space(
+    graph: ConflictGraph,
+    pivoting: bool = True,
+    select: Optional[FragmentFilter] = None,
+) -> RepairSpace:
+    """Factor the repairs of ``graph`` into a :class:`RepairSpace`.
+
+    Singleton components contribute the same vertex to every repair, so
+    they go to the base and the product runs over the conflicted
+    components only.  Each conflicted component's repair list is
+    computed exactly once, in Bron–Kerbosch order; ``select`` may then
+    keep a subset of it (the preferred families decompose per
+    component).  Filtering coordinate-wise keeps the product's
+    lexicographic order.
+    """
+    fixed: List[Row] = []
+    fragments: List[Tuple[Repair, ...]] = []
+    for component in graph.connected_components():
+        if len(component) == 1:
+            fixed.extend(component)
+            continue
+        options = _component_repairs(graph, component, pivoting)
+        if select is not None:
+            options = select(component, options)
+        fragments.append(tuple(options))
+    return RepairSpace(frozenset(fixed), tuple(fragments))
+
+
 def enumerate_repairs(
     graph: ConflictGraph,
     factor_components: bool = True,
@@ -103,36 +194,12 @@ def enumerate_repairs(
     ``factor_components=False`` and ``pivoting=False`` select the naive
     variants (kept for the enumeration ablation benchmark).
     """
-    if not graph.vertices:
-        yield frozenset()
-        return
-    if not factor_components:
+    if factor_components:
+        yield from repair_space(graph, pivoting)
+    else:
         yield from _bron_kerbosch_independent(
             graph, set(), set(graph.vertices), set(), pivoting
         )
-        return
-    components = graph.connected_components()
-
-    # Singleton components contribute the same vertex to every repair;
-    # factoring them out keeps the product odometer over the conflicted
-    # components only.  Each conflicted component's repair list is
-    # computed exactly once (the recursive formulation re-ran
-    # Bron-Kerbosch once per combination of the preceding components,
-    # and its per-component recursion overflowed the interpreter stack
-    # past ~1000 components).
-    fixed: List[Row] = []
-    options: List[List[Repair]] = []
-    for component in components:
-        if len(component) == 1:
-            fixed.extend(component)
-        else:
-            options.append(_component_repairs(graph, component, pivoting))
-    base = frozenset(fixed)
-    if not options:
-        yield base
-        return
-    for combination in _cartesian_product(*options):
-        yield base.union(*combination)
 
 
 def all_repairs(
@@ -153,17 +220,7 @@ def count_repairs(graph: ConflictGraph) -> int:
     ``n`` independent 4-cycles) countable without materializing the
     exponential repair set.
     """
-    total = 1
-    for component in graph.connected_components():
-        if len(component) == 1:
-            continue
-        total *= sum(
-            1
-            for _ in _bron_kerbosch_independent(
-                graph.induced(component), set(), set(component), set(), True
-            )
-        )
-    return total
+    return repair_space(graph).total
 
 
 def repairs_capped(graph: ConflictGraph, limit: int) -> List[Repair]:

@@ -12,6 +12,8 @@ single-process engines and a production deployment:
 * :mod:`repro.service.broker` — batch, deduplicate, route and memoize
   query requests over registered (mutable) databases, choosing the
   cheapest capable engine per query;
+* :mod:`repro.service.memo` — the bounded, locked memo behind the
+  broker's parse and route-report caches;
 * :mod:`repro.service.server` — a stdlib-only JSON-over-HTTP and
   JSON-lines front end (``repro serve``) with health/stats endpoints.
 """

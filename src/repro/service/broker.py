@@ -73,6 +73,7 @@ from repro.obs import RECORDER, REGISTRY, observe_cache
 from repro.priorities.priority import PriorityEdge
 from repro.query.ast import Formula, relations_of
 from repro.relational.rows import Row
+from repro.service.memo import BoundedMemo
 from repro.service.rwlock import ReadWriteLock
 
 Outcome = Union[ClosedAnswer, OpenAnswers]
@@ -89,6 +90,9 @@ Component = FrozenSet[Row]
 #: Bound on the parse memo: distinct ``(database, query text)`` pairs
 #: kept, least recently used evicted first.
 _MAX_PARSED_QUERIES = 1024
+
+#: Bound on the route-report memo, evicted the same way.
+_MAX_ROUTE_REPORTS = 1024
 
 
 @dataclass(frozen=True)
@@ -387,19 +391,16 @@ class RequestBroker:
         # priority edges, which key them), so one analysis serves every
         # request of the same (database, query, columns, priority
         # state) — route decisions stop costing per-request work.
-        self._route_reports: "OrderedDict[Tuple, RouteReport]" = OrderedDict()  # guarded-by: _route_report_lock
-        self._route_report_lock = threading.Lock()
-        self._max_route_reports = 1024
-        self.route_report_hits = 0  # guarded-by: _route_report_lock
-        self.route_report_misses = 0  # guarded-by: _route_report_lock
+        self._route_reports: BoundedMemo[RouteReport] = BoundedMemo(
+            "route_report", _MAX_ROUTE_REPORTS
+        )
         # A registered database's schema is fixed, so a query text
         # parses and schema-checks to the same Formula every time: each
         # (database, text) pair is tokenized once, and repeat traffic
         # reuses the validated formula.
-        self._parsed: "OrderedDict[Tuple[str, str], Formula]" = OrderedDict()  # guarded-by: _parse_lock
-        self._parse_lock = threading.Lock()
-        self.parse_hits = 0  # guarded-by: _parse_lock
-        self.parse_misses = 0  # guarded-by: _parse_lock
+        self._parsed: BoundedMemo[Formula] = BoundedMemo(
+            "parse", _MAX_PARSED_QUERIES
+        )
         #: Worker count forwarded to the engines' enumeration paths
         #: (``None`` = serial, ``0`` = hardware width).
         self.parallel = parallel
@@ -513,26 +514,9 @@ class RequestBroker:
         or to validate raises again on every request."""
         if not isinstance(query, str):
             return entry.engine._to_formula(query)
-        key = (entry.name, query)
-        with self._parse_lock:
-            formula = self._parsed.get(key)
-            if formula is not None:
-                self._parsed.move_to_end(key)
-                self.parse_hits += 1
-                observe_cache("parse", "hit")
-                return formula
-            self.parse_misses += 1
-            observe_cache("parse", "miss")
-        formula = entry.engine._to_formula(query)
-        with self._parse_lock:
-            if (
-                key not in self._parsed
-                and len(self._parsed) >= _MAX_PARSED_QUERIES
-            ):
-                self._parsed.popitem(last=False)
-                observe_cache("parse", "eviction")
-            self._parsed[key] = formula
-        return formula
+        return self._parsed.get_or_compute(
+            (entry.name, query), lambda: entry.engine._to_formula(query)
+        )
 
     def _normalize(
         self, entry: _Entry, request: Request
@@ -574,32 +558,17 @@ class RequestBroker:
         Duplicate-row blocking is data-dependent and deliberately *not*
         predicted here — the prefsql engine's own probe stays
         authoritative for it."""
-        key = (entry.name, formula, variables, active)
-        with self._route_report_lock:
-            report = self._route_reports.get(key)
-            if report is not None:
-                self._route_reports.move_to_end(key)
-                self.route_report_hits += 1
-                observe_cache("route_report", "hit")
-                return report
-            self.route_report_misses += 1
-            observe_cache("route_report", "miss")
-        report = analyze_routes(
-            entry.engine.schema,
-            entry.engine.dependencies,
-            formula,
-            variables,
-            priority=tuple(active),
-            naive=entry.engine.naive,
+        return self._route_reports.get_or_compute(
+            (entry.name, formula, variables, active),
+            lambda: analyze_routes(
+                entry.engine.schema,
+                entry.engine.dependencies,
+                formula,
+                variables,
+                priority=tuple(active),
+                naive=entry.engine.naive,
+            ),
         )
-        with self._route_report_lock:
-            if (
-                key not in self._route_reports
-                and len(self._route_reports) >= self._max_route_reports
-            ):
-                self._route_reports.popitem(last=False)
-            self._route_reports[key] = report
-        return report
 
     def _execute(
         self,
@@ -874,6 +843,16 @@ class RequestBroker:
             )
         return families
 
+    @property
+    def route_report_hits(self) -> int:
+        """Route-report memo hits so far."""
+        return self._route_reports.stats()["hits"]
+
+    @property
+    def route_report_misses(self) -> int:
+        """Route-report memo misses (analyses actually run) so far."""
+        return self._route_reports.stats()["misses"]
+
     def stats(self) -> Dict[str, object]:
         """Broker-level counters plus per-database engine summaries."""
         return {
@@ -890,18 +869,8 @@ class RequestBroker:
             },
             "batches": self.batches,
             "deduplicated": self.deduplicated,
-            "route_reports": {
-                # Stats snapshot: counter reads are atomic under the
-                # GIL and a slightly stale triple is acceptable.
-                "entries": len(self._route_reports),  # lint: unguarded-ok
-                "hits": self.route_report_hits,  # lint: unguarded-ok
-                "misses": self.route_report_misses,  # lint: unguarded-ok
-            },
-            "parsed_queries": {
-                "entries": len(self._parsed),  # lint: unguarded-ok
-                "hits": self.parse_hits,  # lint: unguarded-ok
-                "misses": self.parse_misses,  # lint: unguarded-ok
-            },
+            "route_reports": self._route_reports.stats(),
+            "parsed_queries": self._parsed.stats(),
             "concurrent_reads": sum(
                 entry.rw.concurrent_reads for entry in self._entries.values()
             ),

@@ -1,33 +1,31 @@
 """Sharded parallel execution of repair-space query evaluation.
 
-Repairs are maximal independent sets of the conflict graph, and those
-factor through its connected components: every repair is the union of
-the conflict-free base (singleton components) with exactly one *repair
-fragment* per conflicted component.  A :class:`ShardPlan` captures that
-product structure — the base row set plus one fragment list per
-component, in the exact order the serial engines enumerate — so the
-repair space becomes an addressable integer range ``[0, total)`` under
-the mixed-radix encoding of :func:`itertools.product` (last component
-varies fastest).
+Repairs factor through the connected components of the conflict graph,
+and so does every preferred family: a family's repairs are the base
+rows plus one preferred *fragment* per conflicted component.  A shard
+plan is that :class:`~repro.repairs.enumerate.RepairSpace`, with each
+component's fragments filtered by
+:func:`~repro.core.families.preferred_among` in Bron–Kerbosch order, so
+the space is an addressable integer range ``[0, total)`` whose order is
+:func:`~repro.repairs.enumerate.enumerate_repairs` order (the serial
+stream order of the Rep, L and S families).
 
 Parallel evaluation shards that range into contiguous chunks executed
 by a :mod:`multiprocessing` pool.  Task payloads are pickle-safe by
-construction: fragments are transmitted as index tuples into a shared
-row table (the component content fingerprints the incremental caches
-key on), and :class:`~repro.relational.rows.Row` itself reconstructs
-through its schema on unpickle.  Workers rebuild each repair from its
-index, evaluate with the same indexed (or ``naive``) evaluator the
-serial engines use, and return mergeable partials:
+construction: the plan is a frozen dataclass of row sets, and
+:class:`~repro.relational.rows.Row` itself reconstructs through its
+schema on unpickle.  Workers rebuild each repair from its index, fold
+the query over their chunk with the same
+:func:`~repro.cqa.answers.fold_closed` / :func:`~repro.cqa.answers.
+fold_open` the serial engines use, and return the partial
+:class:`~repro.cqa.answers.ClosedMerge` / :class:`~repro.cqa.answers.
+OpenMerge`.
 
-* closed queries — (considered, satisfying, first-falsifying index);
-* open queries — (considered, certain ∩, possible ∪).
-
-The merge is deterministic: counts add, answer sets intersect/union
-(orderless), and the counterexample is the repair at the *smallest*
-falsifying index — i.e. the first one the serial stream would have
-seen.  ``workers=1`` executes the same shard code in-process, so the
-parallel path is exercised (and differentially testable) without a
-pool.
+The merge adds the partials in chunk order: counts add, answer sets
+intersect/union, and the counterexample is the first chunk's
+falsifier — the first one the serial stream would have seen.
+``workers=1`` executes the same shard code in-process, so the parallel
+path is exercised (and differentially testable) without a pool.
 """
 
 from __future__ import annotations
@@ -36,35 +34,31 @@ import atexit
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.constraints.conflict_graph import ConflictGraph
-from repro.core.cleaning import all_cleaning_results
-from repro.core.families import Family
-from repro.core.optimality import (
-    globally_optimal_repairs,
-    is_locally_optimal,
-    is_semi_globally_optimal,
-)
+from repro.core.families import Family, preferred_among
+from repro.cqa.answers import ClosedMerge, OpenMerge, fold_closed, fold_open
 from repro.obs import REGISTRY, Span, current_tracer, trace
 from repro.priorities.priority import Priority
 from repro.query.ast import Formula
-from repro.query.evaluator import answers as evaluate_answers
-from repro.query.evaluator import evaluate
-from repro.relational.domain import Value
 from repro.relational.rows import Row
-from repro.repairs.enumerate import _component_repairs
+from repro.repairs.enumerate import RepairSpace, repair_space
 
 Repair = FrozenSet[Row]
+
+#: The preferred-repair space factored for sharding (the public name
+#: of :class:`~repro.repairs.enumerate.RepairSpace` in this layer).
+ShardPlan = RepairSpace
 
 #: Contiguous chunks handed to each worker; more than one per worker
 #: smooths imbalance between cheap and expensive repairs.
@@ -82,83 +76,26 @@ def default_workers() -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """The preferred-repair space factored for sharding.
-
-    ``base`` holds the rows present in every repair; ``fragments`` is
-    one tuple of repair fragments per conflicted component, listed in
-    the exact order serial enumeration visits them, so the repair at
-    product index ``i`` is the serial stream's ``i``-th repair.
-    """
-
-    base: FrozenSet[Row]
-    fragments: Tuple[Tuple[Repair, ...], ...]
-
-    @property
-    def total(self) -> int:
-        """Number of repairs in the product space."""
-        count = 1
-        for options in self.fragments:
-            count *= len(options)
-        return count
-
-    def repair_at(self, index: int) -> Repair:
-        """The repair at one product index (mixed-radix decode)."""
-        return _assemble(self.base, self.fragments, index)
-
-
-def _assemble(
-    base: FrozenSet[Row],
-    fragments: Sequence[Tuple[Repair, ...]],
-    index: int,
-) -> Repair:
-    parts: List[Repair] = []
-    for options in reversed(fragments):
-        index, position = divmod(index, len(options))
-        parts.append(options[position])
-    return base.union(*parts) if parts else base
-
-
 def shard_plan(
     graph: ConflictGraph, priority: Priority, family: Family
 ) -> ShardPlan:
     """Factor a family's preferred repairs into a :class:`ShardPlan`.
 
-    Every preferred family decomposes across connected components
-    (see :meth:`repro.incremental.cache.ComponentRepairCache.
-    preferred_fragments`): witnesses of local/semi-global failure are
-    confined to one component, ≪-lifting compares inside components,
-    and Algorithm 1 steps in distinct components commute.  Fragments
-    are produced in :func:`~repro.repairs.enumerate.enumerate_repairs`
-    order and filtered per component, which preserves the serial
-    stream order for the streaming families (Rep, L, S): filtering a
-    lexicographic product coordinate-wise yields the product of the
-    filtered coordinate lists in the same lexicographic order.
+    Every preferred family decomposes across connected components:
+    witnesses of local/semi-global failure are confined to one
+    component, ≪-lifting compares inside components, and Algorithm 1
+    steps in distinct components commute.  Each component's fragments
+    are filtered under the priority restricted to it, in
+    :func:`~repro.repairs.enumerate.enumerate_repairs` order.
     """
-    fixed: List[Row] = []
-    fragment_lists: List[Tuple[Repair, ...]] = []
-    for component in graph.connected_components():
-        if len(component) == 1:
-            fixed.extend(component)
-            continue
-        options = _component_repairs(graph, component, pivoting=True)
-        if family is not Family.REP:
-            local = priority.restricted_to(component)
-            if family is Family.LOCAL:
-                options = [f for f in options if is_locally_optimal(f, local)]
-            elif family is Family.SEMI_GLOBAL:
-                options = [
-                    f for f in options if is_semi_globally_optimal(f, local)
-                ]
-            elif family is Family.GLOBAL:
-                options = list(globally_optimal_repairs(local, options))
-            elif family is Family.COMMON:
-                options = list(all_cleaning_results(local))
-            else:  # pragma: no cover - exhaustive enum
-                raise ValueError(f"unknown family {family!r}")
-        fragment_lists.append(tuple(options))
-    return ShardPlan(frozenset(fixed), tuple(fragment_lists))
+    if family is Family.REP:
+        return repair_space(graph)
+    return repair_space(
+        graph,
+        select=lambda component, options: preferred_among(
+            family, priority.restricted_to(component), options
+        ),
+    )
 
 
 def plan_from_fragments(
@@ -167,102 +104,67 @@ def plan_from_fragments(
 ) -> ShardPlan:
     """A :class:`ShardPlan` over explicit fragment lists.
 
-    Used by the incremental engine (whose per-component fragment table
-    already exists) and by callers sharding a flat repair list (pass it
-    as a single pseudo-component)."""
-    return ShardPlan(base, tuple(tuple(options) for options in fragments))
+    Used by callers sharding a flat repair list (pass it as a single
+    pseudo-component)."""
+    return RepairSpace(base, tuple(tuple(options) for options in fragments))
 
 
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: Task payload: (base, fragments, formula, variables|None, start, stop,
-#: naive, stop_on_false, traced).  Everything in it pickles: rows
-#: reconstruct through their schema, formulas are frozen dataclasses.
-_Task = Tuple[
-    FrozenSet[Row],
-    Tuple[Tuple[Repair, ...], ...],
-    Formula,
-    Optional[Tuple[str, ...]],
-    int,
-    int,
-    bool,
-    bool,
-    bool,
-]
+class _Task(NamedTuple):
+    """One shard's payload.  Everything in it pickles: rows reconstruct
+    through their schema, plans and formulas are frozen dataclasses."""
+
+    plan: ShardPlan
+    formula: Formula
+    #: Answer columns of an open query; ``None`` for a closed one.
+    variables: Optional[Tuple[str, ...]]
+    start: int
+    stop: int
+    naive: bool
+    stop_on_false: bool
+    traced: bool
 
 
-def _run_shard(task: _Task):
-    """Evaluate one contiguous index range of the repair space.
+Partial = Union[ClosedMerge, OpenMerge]
+
+
+def _run_shard(task: _Task) -> Tuple[Partial, float, Optional[dict]]:
+    """Fold the query over one contiguous index range of the space.
 
     Module-level so it imports under ``spawn`` start methods; returns
-    ``(considered, satisfying, first_false, elapsed, span)`` for closed
-    queries and ``(considered, certain, possible, elapsed, span)`` for
-    open ones.  ``elapsed`` is the shard's own wall time: workers run
-    in separate processes and cannot write the parent's metrics
-    registry, so durations travel home with the partials and the merge
-    records them.  When the parent was tracing (``traced``), the shard
-    runs its own tracer and ``span`` is the finished tree in
-    :meth:`~repro.obs.tracing.Span.to_dict` form — a pickle-safe dict
-    the parent grafts under its fan-out span; otherwise ``span`` is
-    None.
+    ``(partial, elapsed, span)``.  ``elapsed`` is the shard's own wall
+    time: workers run in separate processes and cannot write the
+    parent's metrics registry, so durations travel home with the
+    partials and the merge records them.  When the parent was tracing
+    (``traced``), the shard runs its own tracer and ``span`` is the
+    finished tree in :meth:`~repro.obs.tracing.Span.to_dict` form — a
+    pickle-safe dict the parent grafts under its fan-out span;
+    otherwise ``span`` is None.
     """
-    (
-        base, fragments, formula, variables,
-        start, stop, naive, stop_on_false, traced,
-    ) = task
-    if not traced:
-        return _eval_shard(
-            base, fragments, formula, variables, start, stop, naive,
-            stop_on_false,
-        ) + (None,)
+    if not task.traced:
+        return _fold_shard(task) + (None,)
     with trace("shard") as tracer:
-        tracer.annotate(start=start, stop=stop, pid=os.getpid())
-        partial = _eval_shard(
-            base, fragments, formula, variables, start, stop, naive,
-            stop_on_false,
+        tracer.annotate(start=task.start, stop=task.stop, pid=os.getpid())
+        partial, elapsed = _fold_shard(task)
+        tracer.annotate(considered=partial.considered)
+    return partial, elapsed, tracer.root.to_dict()
+
+
+def _fold_shard(task: _Task) -> Tuple[Partial, float]:
+    started = time.perf_counter()
+    repairs = map(task.plan.repair_at, range(task.start, task.stop))
+    partial: Partial = (
+        fold_closed(
+            repairs, task.formula, naive=task.naive,
+            stop_on_false=task.stop_on_false,
         )
-        tracer.annotate(considered=partial[0])
-    return partial + (tracer.root.to_dict(),)
-
-
-def _eval_shard(
-    base: FrozenSet[Row],
-    fragments: Tuple[Tuple[Repair, ...], ...],
-    formula: Formula,
-    variables: Optional[Tuple[str, ...]],
-    start: int,
-    stop: int,
-    naive: bool,
-    stop_on_false: bool,
-):
-    shard_started = time.perf_counter()
-    if variables is None:
-        considered = satisfying = 0
-        first_false: Optional[int] = None
-        for index in range(start, stop):
-            repair = _assemble(base, fragments, index)
-            considered += 1
-            if evaluate(formula, repair, naive=naive):
-                satisfying += 1
-            elif first_false is None:
-                first_false = index
-                if stop_on_false:
-                    break
-        elapsed = time.perf_counter() - shard_started
-        return considered, satisfying, first_false, elapsed
-    certain: Optional[FrozenSet[Tuple[Value, ...]]] = None
-    possible: FrozenSet[Tuple[Value, ...]] = frozenset()
-    considered = 0
-    for index in range(start, stop):
-        repair = _assemble(base, fragments, index)
-        considered += 1
-        result = evaluate_answers(formula, repair, variables, naive=naive)
-        certain = result if certain is None else certain & result
-        possible = possible | result
-    elapsed = time.perf_counter() - shard_started
-    return considered, certain, possible, elapsed
+        if task.variables is None
+        else fold_open(repairs, task.formula, task.variables, naive=task.naive)
+    )
+    return partial, time.perf_counter() - started
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +207,8 @@ def shutdown_pools() -> None:
 
 def _chunks(total: int, workers: int) -> List[Tuple[int, int]]:
     """Contiguous ``[start, stop)`` ranges covering ``[0, total)``."""
+    if not total:
+        return []
     count = min(total, max(1, workers) * _CHUNKS_PER_WORKER)
     size, leftover = divmod(total, count)
     ranges: List[Tuple[int, int]] = []
@@ -317,7 +221,7 @@ def _chunks(total: int, workers: int) -> List[Tuple[int, int]]:
 
 
 def _map_tasks(tasks: List[_Task], workers: int) -> List:
-    if workers <= 1 or len(tasks) == 1:
+    if workers <= 1 or len(tasks) <= 1:
         return [_run_shard(task) for task in tasks]
     return _pool(workers).map(_run_shard, tasks)
 
@@ -325,24 +229,6 @@ def _map_tasks(tasks: List[_Task], workers: int) -> List:
 # ---------------------------------------------------------------------------
 # Public execution surface
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClosedMerge:
-    """Deterministic merge of closed-query shard partials."""
-
-    considered: int
-    satisfying: int
-    counterexample: Optional[Repair]
-
-
-@dataclass(frozen=True)
-class OpenMerge:
-    """Deterministic merge of open-query shard partials."""
-
-    considered: int
-    certain: FrozenSet[Tuple[Value, ...]]
-    possible: FrozenSet[Tuple[Value, ...]]
 
 
 def _record_shards(durations: List[float]) -> None:
@@ -381,35 +267,32 @@ def _graft_shards(results: List) -> None:
     tracer = current_tracer()
     if tracer is None:
         return
-    for result in results:
-        payload = result[4]
+    for _, _, payload in results:
         if payload is not None:
             tracer.graft(Span.from_dict(payload))
 
 
-def _tasks_for(
+def _fan_out(
     plan: ShardPlan,
     formula: Formula,
     variables: Optional[Tuple[str, ...]],
     workers: int,
     naive: bool,
     stop_on_false: bool,
-) -> List[_Task]:
+    empty: Partial,
+) -> Partial:
+    """Fold every chunk of the plan and add the partials in chunk order."""
     traced = current_tracer() is not None
-    return [
-        (
-            plan.base,
-            plan.fragments,
-            formula,
-            variables,
-            start,
-            stop,
-            naive,
-            stop_on_false,
-            traced,
+    tasks = [
+        _Task(
+            plan, formula, variables, start, stop, naive, stop_on_false, traced
         )
         for start, stop in _chunks(plan.total, workers)
     ]
+    results = _map_tasks(tasks, workers)
+    _graft_shards(results)
+    _record_shards([elapsed for _, elapsed, _ in results])
+    return sum((partial for partial, _, _ in results), empty)
 
 
 def run_closed(
@@ -426,21 +309,9 @@ def run_closed(
     boolean certainty check); otherwise counts are exact and the
     counterexample is the serial stream's first falsifier.
     """
-    total = plan.total
-    if total == 0:
-        return ClosedMerge(0, 0, None)
-    results = _map_tasks(
-        _tasks_for(plan, formula, None, workers, naive, stop_on_false), workers
+    return _fan_out(
+        plan, formula, None, workers, naive, stop_on_false, ClosedMerge()
     )
-    _graft_shards(results)
-    _record_shards([result[3] for result in results])
-    considered = sum(result[0] for result in results)
-    satisfying = sum(result[1] for result in results)
-    falsifiers = [result[2] for result in results if result[2] is not None]
-    counterexample = (
-        plan.repair_at(min(falsifiers)) if falsifiers else None
-    )
-    return ClosedMerge(considered, satisfying, counterexample)
 
 
 def run_open(
@@ -451,28 +322,8 @@ def run_open(
     naive: bool = False,
 ) -> OpenMerge:
     """Certain/possible answer sets over the sharded repair space."""
-    total = plan.total
-    if total == 0:
-        return OpenMerge(0, frozenset(), frozenset())
-    results = _map_tasks(
-        _tasks_for(plan, formula, tuple(variables), workers, naive, False),
-        workers,
-    )
-    _graft_shards(results)
-    _record_shards([result[3] for result in results])
-    considered = 0
-    certain: Optional[FrozenSet[Tuple[Value, ...]]] = None
-    possible: FrozenSet[Tuple[Value, ...]] = frozenset()
-    for shard_considered, shard_certain, shard_possible, _, _ in results:
-        if shard_considered == 0:
-            continue
-        considered += shard_considered
-        certain = (
-            shard_certain if certain is None else certain & shard_certain
-        )
-        possible = possible | shard_possible
-    return OpenMerge(
-        considered, certain if certain is not None else frozenset(), possible
+    return _fan_out(
+        plan, formula, tuple(variables), workers, naive, False, OpenMerge()
     )
 
 

@@ -200,9 +200,25 @@ class TestBaselineAnswers:
         assert naive.possible == indexed.possible
         assert (naive.route, indexed.route) == ("naive", "indexed")
 
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_sharded_path_matches_serial(self, naive):
+        from repro.baselines.answers import baseline_answers
+
+        scenario = mgr_scenario()
+        stratum = {row: 0 for row in scenario.graph.vertices}
+        subtheories = preferred_subtheories(scenario.graph, stratum.__getitem__)
+        serial = baseline_answers(subtheories, self.QUERY, naive=naive)
+        sharded = baseline_answers(
+            subtheories, self.QUERY, naive=naive, parallel=1
+        )
+        assert sharded == serial
+        assert sharded.route == serial.route
+        assert serial.disputed  # the alternatives disagree somewhere
+
     def test_no_alternatives_is_an_error(self):
         from repro.baselines.answers import baseline_answers
         from repro.exceptions import QueryError
 
-        with pytest.raises(QueryError):
-            baseline_answers([], self.QUERY)
+        for parallel in (None, 1):
+            with pytest.raises(QueryError):
+                baseline_answers([], self.QUERY, parallel=parallel)

@@ -17,7 +17,7 @@ from repro.query.ast import (
     TrueFormula,
     Var,
 )
-from repro.query.parser import parse_query
+from repro.query.parser import MAX_NESTING_DEPTH, parse_query
 
 
 class TestTerms:
@@ -151,6 +151,18 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(QuerySyntaxError):
             parse_query("")
+
+    def test_nesting_is_bounded(self):
+        """Deep nesting is a syntax error, not a RecursionError; the
+        limit itself still parses."""
+        with pytest.raises(QuerySyntaxError, match="nested deeper"):
+            parse_query("NOT " * 3000 + "R(a, b, c, d)")
+        with pytest.raises(QuerySyntaxError, match="nested deeper"):
+            parse_query("(" * 3000 + "R(1)" + ")" * 3000)
+        formula = parse_query("NOT " * MAX_NESTING_DEPTH + "R(1)")
+        for _ in range(MAX_NESTING_DEPTH):
+            formula = formula.body
+        assert formula == Atom("R", [Const(1)])
 
     def test_comments_are_skipped(self):
         formula = parse_query("R(1) # the fact\n AND R(2)")

@@ -51,3 +51,20 @@ class TestCheckAgainstSchema:
         engine = CqaEngine(scenario.instance, scenario.dependencies)
         with pytest.raises(QueryError):
             engine.answer("EXISTS d, s . Mgr(Mary, d, s)")
+
+    @pytest.mark.parametrize("as_rows", [False, True])
+    def test_denial_engine_raises_on_unknown_relation_and_arity(self, as_rows):
+        from repro.cqa.hypergraph_cqa import DenialCqaEngine
+        from tests.cqa.test_hypergraph_cqa import overpaid_engine
+
+        engine = overpaid_engine()
+        if as_rows:
+            # Built from bare rows, the schema comes from the rows.
+            rows = [row for repair in engine.repairs() for row in repair]
+            engine = DenialCqaEngine(rows, engine.constraints)
+        for query in ("Nope('x')", "Emp('a', 'b')"):
+            with pytest.raises(QueryError):
+                engine.answer(query)
+        with pytest.raises(QueryError):
+            engine.certain_answers("Nope(x)")
+        assert engine.answer("EXISTS d, s . Emp(Zoe, d, s)").is_consistent_answer_true

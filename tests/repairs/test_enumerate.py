@@ -1,5 +1,6 @@
 """Unit and property tests for repair enumeration."""
 
+import pytest
 from hypothesis import given, settings
 
 from repro.constraints.conflict_graph import build_conflict_graph
@@ -74,6 +75,22 @@ class TestProperties:
         repairs = list(enumerate_repairs(graph))
         assert len(set(repairs)) == len(repairs)
         assert count_repairs(graph) == len(repairs)
+
+    @pytest.mark.parametrize(
+        "instance, fds",
+        [
+            (chain_instance(1), CHAIN_FDS),
+            (chain_instance(9), CHAIN_FDS),
+            (grid_instance(0), GRID_FDS),
+            (grid_instance(2, 1), GRID_FDS),
+            (grid_instance(4, 3), GRID_FDS),
+        ],
+    )
+    def test_count_matches_enumeration_on_generated_instances(
+        self, instance, fds
+    ):
+        graph = build_conflict_graph(instance, fds)
+        assert count_repairs(graph) == len(list(enumerate_repairs(graph)))
 
     @given(two_fd_instances())
     @settings(max_examples=60, deadline=None)

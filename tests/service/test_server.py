@@ -183,6 +183,26 @@ class TestHttpTransport:
         status, body = self._post(server, "/query", {"query": ""})
         assert status == 400 and "error" in body
 
+    def test_pathological_nesting_is_400_on_a_live_connection(self, server):
+        """A query nested past the parser's limit gets a 400 JSON body,
+        and the keep-alive connection keeps serving."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            deep = json.dumps({"query": "NOT " * 3000 + "R(a, b, c, d)"})
+            connection.request("POST", "/query", body=deep)
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "nested deeper" in json.loads(response.read())["error"]
+            connection.request(
+                "POST", "/query", body=json.dumps({"query": "EXISTS y . R(x, y)"})
+            )
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["certain"] == [[0], [1], [2]]
+        finally:
+            connection.close()
+
     def test_keep_alive_hits_do_not_stall(self, server):
         """Repeat traffic on one connection costs a lookup, not a delayed
         ACK: a body sent apart from its headers waits ~40 ms for one."""

@@ -53,6 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent.parent
 DEFAULT_FILES = (
     "src/repro/service/broker.py",
     "src/repro/service/loadgen.py",
+    "src/repro/service/memo.py",
     "src/repro/service/rwlock.py",
     "src/repro/prefsql/engine.py",
     "src/repro/obs/registry.py",
